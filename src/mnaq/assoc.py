@@ -18,14 +18,14 @@ Four mutually cross-checking methods:
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .errors import TooLarge
+from .errors import TooLarge, VerificationFailure
 from .field import Field
+from .pool import chunked_map
 from .quasigroup import (
     SigmaPair,
     cayley_table,
@@ -71,7 +71,9 @@ def assoc_eq_holds(
         direct = qmul(F, pair, v, qmul(F, pair, 0, u)) == qmul(
             F, pair, qmul(F, pair, v, 0), u
         )
-        assert holds == direct, (pair, u, v)
+        if holds != direct:
+            raise VerificationFailure(
+                f"equation and quasigroup law disagree at {pair}, (u, v) = ({u}, {v})")
     return holds
 
 
@@ -90,16 +92,6 @@ def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     U = F.codes[:, None]
     V = F.codes[None, :]
     return assoc_eq_vec(F, pair, U, V)
-
-
-def classify(F: Field, pair: SigmaPair, u: int, v: int) -> ClassIndex:
-    """Class (i, j, r, s) of a solution; bits flag nonsquares."""
-    e_r = F.sub(psi(F, pair, u), v)
-    e_s = F.sub(F.sub(u, v), psi(F, pair, F.neg(v)))
-    quads = (u, F.neg(v), e_r, e_s)
-    if any(w == 0 for w in quads):
-        raise ValueError(f"({u}, {v}) has a vanishing classifier value")
-    return ClassIndex(*(0 if F.chi(w) == 1 else 1 for w in quads))
 
 
 @dataclass(frozen=True)
@@ -124,11 +116,10 @@ class SolutionSet:
 
 
 def solutions_E(F: Field, pair: SigmaPair) -> SolutionSet:
-    grid = assoc_eq_grid(F, pair)
-    grid[0, 0] = False
-    us, vs = np.nonzero(grid)
+    codes = class_code_grid(F, pair)
+    us, vs = np.nonzero(codes >= 0)
     entries = tuple(
-        (int(u), int(v), classify(F, pair, int(u), int(v))) for u, v in zip(us, vs)
+        (int(u), int(v), ALL_CLASSES[codes[u, v]]) for u, v in zip(us, vs)
     )
     return SolutionSet(pair, entries)
 
@@ -144,8 +135,9 @@ def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     psi_neg_v = psi_vec(F, pair, neg_v)
     e_r = F.vsub(psi_u, V)
     e_s = F.vsub(F.vsub(U, V), psi_neg_v)
-    # nontrivial solutions never have a vanishing classifier value
-    assert not (holds & ((U == 0) | (neg_v == 0) | (e_r == 0) | (e_s == 0))).any()
+    if (holds & ((U == 0) | (neg_v == 0) | (e_r == 0) | (e_s == 0))).any():
+        raise VerificationFailure(
+            f"a nontrivial solution at {pair} has a vanishing classifier value")
     chi = F.chi_table
     code = (
         (chi[U] != 1).astype(np.int8) * 8
@@ -248,7 +240,9 @@ def class_nonempty_C(
     for u in (1, zeta):
         for v in range(1, F.q):
             if _class_witness_ok(F, pair, cls, u, v):
-                assert assoc_eq_holds(F, pair, u, v)
+                if not assoc_eq_holds(F, pair, u, v):
+                    raise VerificationFailure(
+                        f"class {tuple(cls)} witness ({u}, {v}) fails the equation at {pair}")
                 return True
     return False
 
@@ -282,8 +276,8 @@ def _is_mna(F: Field, pair: SigmaPair, method: str, force: bool) -> bool:
     raise ValueError(f"unknown method {method!r}")
 
 
-def _count_chunk(args: tuple[Field, str, list[SigmaPair], bool]) -> int:
-    F, method, pairs, force = args
+def _count_chunk(args: tuple[Field, str, bool, list[SigmaPair]]) -> int:
+    F, method, force, pairs = args
     return sum(1 for pair in pairs if _is_mna(F, pair, method, force))
 
 
@@ -301,11 +295,4 @@ def sigma_count(
     if guard is not None and F.q > guard and not force:
         raise TooLarge(f"method {method} guarded to q <= {guard}")
     plist = list(pairs) if pairs is not None else enumerate_sigma(F)
-    if jobs <= 1 or len(plist) < 4 * jobs:
-        return _count_chunk((F, method, plist, force))
-    chunk = (len(plist) + 4 * jobs - 1) // (4 * jobs)
-    tasks = [
-        (F, method, plist[i : i + chunk], force) for i in range(0, len(plist), chunk)
-    ]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return sum(pool.map(_count_chunk, tasks))
+    return sum(chunked_map(_count_chunk, (F, method, force), plist, jobs))

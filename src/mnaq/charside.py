@@ -1,10 +1,13 @@
 """Square-pair-side classification and the O(q^2) exact sigma counter.
 
 Membership of (x, y) in a class S_ij^rs is decided purely from quadratic
-characters of a fixed family of polynomials in x and y (one rule set per
-residue of q mod 4).  Scanning y = c over squares and x over a slice gives
-sigma(q) in O(q^2) chi-table lookups; the same pass feeds the T-partition
-bookkeeping and the per-slice counters with their stated bounds.
+characters of the polynomial family weil.SLICE_POLYS (one rule set per residue
+of q mod 4).  slice_eval applies the rules to a whole slice y = c and returns
+the sixteen class masks that sigma_count_D counts; s_class_member reads one
+entry of those masks, so checking membership checks the counting code.
+Scanning y = c over squares gives sigma(q) in O(q^2) chi-table lookups; the
+same pass feeds the T-partition bookkeeping and the per-slice counters with
+their stated bounds.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -15,189 +18,53 @@ choice is cross-validated exactly against the parameter-side method C.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
 from .field import Field
+from .gfpoly import poly_eval_vec
+from .pool import chunked_map
 from .quasigroup import SPair, is_s_pair
-from .weil import slice_param_admissible
+from .weil import slice_param_admissible, slice_poly_list
 
 T_GRID_LIMIT = 512
 
 
-# ----------------------------------------------------------------------
-# The eight classification polynomials (scalar forms)
-# ----------------------------------------------------------------------
-
-def f1(F: Field, x: int, y: int) -> int:
-    # x^2 + y^2 - xy - x
-    return F.sub(F.sub(F.add(F.mul(x, x), F.mul(y, y)), F.mul(x, y)), x)
-
-
-def f2(F: Field, x: int, y: int) -> int:
-    return f1(F, y, x)
-
-
-def f4(F: Field, x: int, y: int) -> int:
-    # x^2 y + xy - x^2 - y^2
-    xx = F.mul(x, x)
-    return F.sub(F.sub(F.add(F.mul(xx, y), F.mul(x, y)), xx), F.mul(y, y))
-
-
-def f3(F: Field, x: int, y: int) -> int:
-    return f4(F, y, x)
-
-
-def g1(F: Field, x: int, y: int) -> int:
-    # x^2 + y - 2x
-    return F.sub(F.add(F.mul(x, x), y), F.mul(F.embed(2), x))
-
-
-def g2(F: Field, x: int, y: int) -> int:
-    return g1(F, y, x)
-
-
-def g3(F: Field, x: int, y: int) -> int:
-    # x^2 + y - 2xy
-    return F.sub(F.add(F.mul(x, x), y), F.mul(F.embed(2), F.mul(x, y)))
-
-
-def g4(F: Field, x: int, y: int) -> int:
-    return g3(F, y, x)
+def _irregular_xs(F: Field, y: int) -> list[int]:
+    """The x for which (x, y) violates the regularity condition: x = y + 1 when
+    y^2 + y - 1 = 0 (then x^2 - x - 1 = 0) and x = y - 1 when y^2 - y - 1 = 0."""
+    yy = F.mul(y, y)
+    out = []
+    if F.sub(F.add(yy, y), 1) == 0:
+        out.append(F.add(y, 1))
+    if F.sub(F.sub(yy, y), 1) == 0:
+        out.append(F.sub(y, 1))
+    return out
 
 
 def is_regular_pair(F: Field, x: int, y: int) -> bool:
     """The regularity condition required by the class membership rules."""
-    first = F.sub(F.add(y, 1), x) != 0 or F.sub(F.sub(F.mul(x, x), x), 1) != 0
-    second = F.sub(F.add(x, 1), y) != 0 or F.sub(F.sub(F.mul(y, y), y), 1) != 0
-    return first and second
+    return x not in _irregular_xs(F, y)
 
 
 def exceptional_pairs(F: Field) -> list[SPair]:
     """Members of S violating is_regular_pair; at most four per field."""
-    out = []
-    for x in range(2, F.q):
-        if F.sub(F.sub(F.mul(x, x), x), 1) == 0:
-            y = F.sub(x, 1)
-            if is_s_pair(F, x, y):
-                out.append(SPair(x, y))
-    for y in range(2, F.q):
-        if F.sub(F.sub(F.mul(y, y), y), 1) == 0:
-            x = F.sub(y, 1)
-            if is_s_pair(F, x, y):
-                out.append(SPair(x, y))
-    return out
+    return [SPair(x, y) for y in range(2, F.q) for x in _irregular_xs(F, y)
+            if is_s_pair(F, x, y)]
 
 
 def s_class_member(F: Field, sp: SPair, cls: tuple[int, int, int, int]) -> bool:
-    """Membership of sp in S_ij^rs per the character rules for q mod 4."""
+    """Membership of sp in S_ij^rs: one entry of the masks slice_eval counts."""
     x, y = sp
     if not is_s_pair(F, x, y):
         raise NotInS(f"({x}, {y}) is not in S(F_{F.q})")
     if not is_regular_pair(F, x, y):
         raise IrregularPair(f"({x}, {y}) violates the regularity condition")
-    if F.q % 4 == 1:
-        return _member_mod1(F, x, y, tuple(cls))
-    return _member_mod3(F, x, y, tuple(cls))
-
-
-def _member_mod1(F: Field, x: int, y: int, cls: tuple[int, int, int, int]) -> bool:
-    chi = F.chi
-    eps = chi(F.sub(x, y))
-    if cls in ((0, 0, 0, 0), (1, 1, 1, 1)):
-        return chi(F.sub(1, x)) == eps and chi(F.sub(1, y)) == eps
-    if cls == (1, 1, 0, 0):
-        return chi(f1(F, x, y)) == -eps and chi(f2(F, x, y)) == -eps
-    if cls == (0, 0, 1, 1):
-        return chi(f3(F, x, y)) == -eps and chi(f4(F, x, y)) == -eps
-    if cls == (1, 1, 0, 1):
-        return (
-            chi(F.sub(1, x)) == -eps
-            and chi(F.sub(F.add(y, 1), x)) == 1
-            and chi(f1(F, x, y)) == eps
-        )
-    if cls == (1, 1, 1, 0):
-        return (
-            chi(F.sub(1, y)) == -eps
-            and chi(F.sub(F.add(x, 1), y)) == 1
-            and chi(f2(F, x, y)) == eps
-        )
-    if cls == (0, 0, 1, 0):
-        xxy_my = F.sub(F.add(x, F.mul(x, y)), y)  # x + xy - y
-        return chi(F.sub(1, x)) == -eps and chi(xxy_my) == 1 and chi(f3(F, x, y)) == eps
-    if cls == (0, 0, 0, 1):
-        yxy_mx = F.sub(F.add(y, F.mul(x, y)), x)  # y + xy - x
-        return chi(F.sub(1, y)) == -eps and chi(yxy_mx) == 1 and chi(f4(F, x, y)) == eps
-    if cls == (0, 1, 0, 1):
-        eta = chi(F.sub(F.add(y, 1), x))
-        if eta == 0:
-            return False
-        yxy_mx = F.sub(F.add(y, F.mul(x, y)), x)
-        return (
-            chi(yxy_mx) == -eta
-            and chi(g1(F, x, y)) == -eta * eps
-            and chi(g4(F, x, y)) == eta * eps
-        )
-    if cls == (1, 0, 1, 0):
-        eta = chi(F.sub(F.add(x, 1), y))
-        if eta == 0:
-            return False
-        xxy_my = F.sub(F.add(x, F.mul(x, y)), y)
-        return (
-            chi(xxy_my) == -eta
-            and chi(g2(F, x, y)) == -eta * eps
-            and chi(g3(F, x, y)) == eta * eps
-        )
-    return False  # the six (i, j) mixed classes not listed above are empty
-
-
-def _member_mod3(F: Field, x: int, y: int, cls: tuple[int, int, int, int]) -> bool:
-    chi = F.chi
-    d = chi(F.sub(x, y))  # chi(x - y); chi(y - x) = -d since -1 is a nonsquare
-    c1x = chi(F.sub(1, x))
-    c1y = chi(F.sub(1, y))
-    if cls in ((0, 1, 1, 0), (1, 0, 0, 1)):
-        return c1y * d == 1 and c1x * -d == 1
-    if cls == (0, 1, 0, 0):
-        return c1x * d == 1 and chi(g1(F, x, y)) * -d == 1
-    if cls == (1, 0, 0, 0):
-        return c1y * -d == 1 and chi(g2(F, x, y)) * d == 1
-    if cls == (1, 0, 1, 1):
-        return c1x * d == 1 and chi(g3(F, x, y)) * d == 1
-    if cls == (0, 1, 1, 1):
-        return c1y * -d == 1 and chi(g4(F, x, y)) * -d == 1
-    if cls == (1, 1, 0, 1):
-        w = chi(F.sub(F.sub(x, 1), y))  # x - 1 - y
-        return c1x * d == 1 and w == 1 and d * chi(f1(F, x, y)) == 1
-    if cls == (1, 1, 1, 0):
-        w = chi(F.sub(F.sub(y, 1), x))
-        return c1y * -d == 1 and w == 1 and -d * chi(f2(F, x, y)) == 1
-    if cls == (0, 0, 1, 0):
-        w = chi(F.sub(F.sub(y, F.mul(x, y)), x))  # y - xy - x
-        return c1x * d == 1 and w == 1 and d * chi(f3(F, x, y)) == 1
-    if cls == (0, 0, 0, 1):
-        w = chi(F.sub(F.sub(x, F.mul(x, y)), y))  # x - xy - y
-        return c1y * -d == 1 and w == 1 and -d * chi(f4(F, x, y)) == 1
-    if cls == (0, 1, 0, 1):
-        w = chi(F.sub(F.sub(x, 1), y))
-        u = chi(F.sub(F.sub(x, F.mul(x, y)), y))
-        return (
-            u * w == 1
-            and chi(g1(F, x, y)) * -d * w == 1
-            and chi(g4(F, x, y)) * -d * w == 1
-        )
-    if cls == (1, 0, 1, 0):
-        w = chi(F.sub(F.sub(y, 1), x))
-        u = chi(F.sub(F.sub(y, F.mul(x, y)), x))
-        return (
-            u * w == 1
-            and chi(g2(F, x, y)) * d * w == 1
-            and chi(g3(F, x, y)) * d * w == 1
-        )
-    return False  # (0,0,0,0), (0,0,1,1), (1,1,0,0), (1,1,1,1) are empty
+    i, j, r, s = cls
+    ev = slice_eval(F, y, np.array([x], dtype=np.int64))
+    return bool(ev.classes[8 * i + 4 * j + 2 * r + s, 0])
 
 
 # ----------------------------------------------------------------------
@@ -206,11 +73,12 @@ def _member_mod3(F: Field, x: int, y: int, cls: tuple[int, int, int, int]) -> bo
 
 @dataclass(frozen=True)
 class SliceEval:
-    """One y = c slice of S with its T mask and the characters reused later."""
+    """One y = c slice of S: its class masks, T mask and the characters reused later."""
 
     c: int
     xs: np.ndarray          # x values of the slice (squares outside {0,1,c})
-    t_mask: np.ndarray      # True where (x, c) avoids every class
+    classes: np.ndarray     # shape (16, len(xs)): row 8i+4j+2r+s marks S_ij^rs
+    t_mask: np.ndarray      # True where (x, c) is regular and in no class
     eps: np.ndarray         # chi(x - c)
     chi_1mx: np.ndarray     # chi(1 - x)
     chi_1my: int            # chi(1 - c)
@@ -228,83 +96,64 @@ def _square_codes(F: Field) -> np.ndarray:
 
 
 def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
-    """Evaluate every class condition on the slice y = c."""
+    """Evaluate every class rule on the slice y = c."""
     if xs is None:
         xs = _square_codes(F)
     X = xs[xs != c]
-    chi_t = F.chi_table
-    s_neg = F.chi(F.neg(1))  # +1 iff q = 1 mod 4
+    # chi of each member of the fixed list but the first (chi(x) = 1 on squares)
+    (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4) = (
+        F.chi_table[poly_eval_vec(F, p, X)] for p in slice_poly_list(F, c)[1:]
+    )
+    # the mirrored forms differ from the listed ones by chi(-1)
+    s_neg = F.chi(F.neg(1))
+    c1x = s_neg * xm1                                  # 1 - x
+    c1y = F.chi(F.sub(1, c))                           # 1 - y
+    yp1mx, ym1mx = s_neg * xm1my, s_neg * xp1my        # y + 1 - x, y - 1 - x
+    ypxymx, ymxymx = s_neg * xmxymy, s_neg * xpxymy    # y + xy - x, y - xy - x
 
-    X2 = F.vmul(X, X)
-    XC = F.vmul(c, X)
-    c2 = F.mul(c, c)
-    two_c = F.add(c, c)
-
-    eps = chi_t[F.vsub(X, c)]
-    chi_1mx = chi_t[F.vsub(1, X)]
-    chi_1my = F.chi(F.sub(1, c))
-
-    # f_j(x, c) characters
-    cf1 = chi_t[F.vsub(F.vsub(F.vadd(X2, c2), XC), X)]
-    cf2 = chi_t[F.vsub(F.vsub(F.vadd(X2, c2), XC), c)]
-    cf3 = chi_t[F.vsub(F.vsub(F.vadd(F.vmul(c2, X), XC), X2), c2)]
-    cf4 = chi_t[F.vsub(F.vsub(F.vadd(F.vmul(c, X2), XC), X2), c2)]
-    # g_j(x, c) characters
-    cg1 = chi_t[F.vsub(F.vadd(X2, c), F.vadd(X, X))]
-    cg2 = chi_t[F.vadd(X, F.sub(c2, two_c))]
-    cg3 = chi_t[F.vsub(F.vadd(X2, c), F.vadd(XC, XC))]
-    cg4 = chi_t[F.vadd(F.vsub(X, F.vadd(XC, XC)), c2)]
-    # linear forms; mirrored ones differ by chi(-1)
-    c_xm1mc = chi_t[F.vsub(X, F.add(c, 1))]       # x - 1 - c
-    c_xp1mc = chi_t[F.vadd(X, F.sub(1, c))]       # x + 1 - c
-    c_yp1mx = s_neg * c_xm1mc                     # y + 1 - x
-    c_ym1mx = s_neg * c_xp1mc                     # y - 1 - x
-    c_xxymy = chi_t[F.vsub(F.vadd(X, XC), c)]     # x + xy - y
-    c_yxymx = chi_t[F.vadd(F.vsub(XC, X), c)]     # y + xy - x
-    c_ymxymx = s_neg * c_xxymy                    # y - xy - x
-    c_xmxymy = s_neg * c_yxymx                    # x - xy - y
-
-    u = np.zeros(X.shape, dtype=bool)
+    m = np.zeros((16, X.size), dtype=bool)
     if F.q % 4 == 1:
-        u |= (chi_1mx == eps) & (chi_1my == eps)
-        u |= (cf1 == -eps) & (cf2 == -eps)
-        u |= (cf3 == -eps) & (cf4 == -eps)
-        u |= (chi_1mx == -eps) & (c_yp1mx == 1) & (cf1 == eps)
-        u |= (chi_1my == -eps) & (c_xp1mc == 1) & (cf2 == eps)
-        u |= (chi_1mx == -eps) & (c_xxymy == 1) & (cf3 == eps)
-        u |= (chi_1my == -eps) & (c_yxymx == 1) & (cf4 == eps)
-        eta = c_yp1mx
-        u |= (eta != 0) & (c_yxymx == -eta) & (cg1 == -eta * eps) & (cg4 == eta * eps)
-        eta = c_xp1mc
-        u |= (eta != 0) & (c_xxymy == -eta) & (cg2 == -eta * eps) & (cg3 == eta * eps)
+        # the six (i, j) mixed classes not set here are empty
+        m[0] = m[15] = (c1x == eps) & (c1y == eps)
+        m[12] = (f1 == -eps) & (f2 == -eps)
+        m[3] = (f3 == -eps) & (f4 == -eps)
+        m[13] = (c1x == -eps) & (yp1mx == 1) & (f1 == eps)
+        m[14] = (c1y == -eps) & (xp1my == 1) & (f2 == eps)
+        m[2] = (c1x == -eps) & (xpxymy == 1) & (f3 == eps)
+        m[1] = (c1y == -eps) & (ypxymx == 1) & (f4 == eps)
+        eta = yp1mx
+        m[5] = (eta != 0) & (ypxymx == -eta) & (g1 == -eta * eps) & (g4 == eta * eps)
+        eta = xp1my
+        m[10] = (eta != 0) & (xpxymy == -eta) & (g2 == -eta * eps) & (g3 == eta * eps)
     else:
+        # (0,0,0,0), (0,0,1,1), (1,1,0,0), (1,1,1,1) are empty
         nd = -eps  # chi(y - x)
-        u |= (chi_1my * eps == 1) & (chi_1mx * nd == 1)
-        u |= (chi_1mx * eps == 1) & (cg1 * nd == 1)
-        u |= (chi_1my * nd == 1) & (cg2 * eps == 1)
-        u |= (chi_1mx * eps == 1) & (cg3 * eps == 1)
-        u |= (chi_1my * nd == 1) & (cg4 * nd == 1)
-        u |= (chi_1mx * eps == 1) & (c_xm1mc == 1) & (eps * cf1 == 1)
-        u |= (chi_1my * nd == 1) & (c_ym1mx == 1) & (nd * cf2 == 1)
-        u |= (chi_1mx * eps == 1) & (c_ymxymx == 1) & (eps * cf3 == 1)
-        u |= (chi_1my * nd == 1) & (c_xmxymy == 1) & (nd * cf4 == 1)
-        u |= (c_xmxymy * c_xm1mc == 1) & (cg1 * nd * c_xm1mc == 1) & (cg4 * nd * c_xm1mc == 1)
-        u |= (c_ymxymx * c_ym1mx == 1) & (cg2 * eps * c_ym1mx == 1) & (cg3 * eps * c_ym1mx == 1)
+        m[6] = m[9] = (c1y * eps == 1) & (c1x * nd == 1)
+        m[4] = (c1x * eps == 1) & (g1 * nd == 1)
+        m[8] = (c1y * nd == 1) & (g2 * eps == 1)
+        m[11] = (c1x * eps == 1) & (g3 * eps == 1)
+        m[7] = (c1y * nd == 1) & (g4 * nd == 1)
+        m[13] = (c1x * eps == 1) & (xm1my == 1) & (eps * f1 == 1)
+        m[14] = (c1y * nd == 1) & (ym1mx == 1) & (nd * f2 == 1)
+        m[2] = (c1x * eps == 1) & (ymxymx == 1) & (eps * f3 == 1)
+        m[1] = (c1y * nd == 1) & (xmxymy == 1) & (nd * f4 == 1)
+        m[5] = (xmxymy * xm1my == 1) & (g1 * nd * xm1my == 1) & (g4 * nd * xm1my == 1)
+        m[10] = (ymxymx * ym1mx == 1) & (g2 * eps * ym1mx == 1) & (g3 * eps * ym1mx == 1)
 
     # regularity failures count as members of the union
-    if F.sub(F.add(F.mul(c, c), c), 1) == 0:
-        u |= X == F.add(c, 1)
-    if F.sub(F.sub(F.mul(c, c), c), 1) == 0:
-        u |= X == F.sub(c, 1)
+    regular = np.ones(X.size, dtype=bool)
+    for x in _irregular_xs(F, c):
+        regular &= X != x
 
     return SliceEval(
         c=c,
         xs=X,
-        t_mask=~u,
+        classes=m,
+        t_mask=regular & ~m.any(axis=0),
         eps=eps,
-        chi_1mx=chi_1mx,
-        chi_1my=chi_1my,
-        chi_f=np.stack([cf1, cf2, cf3, cf4]),
+        chi_1mx=c1x,
+        chi_1my=c1y,
+        chi_f=np.stack([f1, f2, f3, f4]),
     )
 
 
@@ -317,12 +166,7 @@ def _d_chunk(args: tuple[Field, list[int]]) -> int:
 def sigma_count_D(F: Field, jobs: int = 1) -> int:
     """sigma(q) as the number of square pairs avoiding every class."""
     cs = [int(c) for c in _square_codes(F)]
-    if jobs <= 1 or len(cs) < 4 * jobs:
-        return _d_chunk((F, cs))
-    chunk = (len(cs) + 4 * jobs - 1) // (4 * jobs)
-    tasks = [(F, cs[i : i + chunk]) for i in range(0, len(cs), chunk)]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return sum(pool.map(_d_chunk, tasks))
+    return sum(chunked_map(_d_chunk, (F,), cs, jobs))
 
 
 def count_good_slice_params(F: Field) -> int:
@@ -349,37 +193,63 @@ class TPartitionReport:
         return not self.violations
 
 
+def t_pieces(mod4: int, t, eps, chi_1mx, chi_1my, chi_f) -> dict[str, np.ndarray]:
+    """The pieces of the T partition, elementwise on slice vectors or (q, q) grids.
+
+    eps = chi(x - y), chi_1mx = chi(1 - x), chi_1my = chi(1 - y) and chi_f
+    stacks chi(f1..f4) on a leading axis.  For q = 1 mod 4, "rho" holds the code
+    8*b1 + 4*b2 + 2*b3 + b4 (b_j = [eps * chi(f_j) = +1]) on T where no f_j
+    vanishes, and -1 elsewhere.
+    """
+    if mod4 == 3:
+        t0 = t & (eps == -1)  # chi(y - x) = 1
+        t0p = t & (eps == 1)
+        both1 = (chi_1mx == 1) & (chi_1my == 1)
+        bothm = (chi_1mx == -1) & (chi_1my == -1)
+        x_m_y_p = (chi_1mx == -1) & (chi_1my == 1)
+        x_p_y_m = (chi_1mx == 1) & (chi_1my == -1)
+        return {
+            "t0": t0, "t0p": t0p,
+            "t11": t0 & both1, "t1m1": t0 & bothm, "t2": t0 & x_m_y_p,
+            "t11p": t0p & both1, "t1m1p": t0p & bothm, "t2p": t0p & x_p_y_m,
+            "forbidden": t0 & x_p_y_m, "forbiddenp": t0p & x_m_y_p,
+        }
+    rho = eps * chi_f
+    code = 8 * (rho[0] > 0) + 4 * (rho[1] > 0) + 2 * (rho[2] > 0) + (rho[3] > 0)
+    return {
+        "t1": t & (chi_1mx == -eps) & (chi_1my == -eps),
+        "t2": t & (chi_1mx == eps) & (chi_1my == -eps),
+        "t2p": t & (chi_1mx == -eps) & (chi_1my == eps),
+        "forbidden": t & (chi_1mx == eps) & (chi_1my == eps),
+        "rho": np.where(t & (rho != 0).all(axis=0), code, -1),
+    }
+
+
 def t_partition(F: Field) -> TPartitionReport:
     """Materialize the residue-appropriate partition of T with its identities."""
     xs = _square_codes(F)
     mod4 = F.q % 4
-    total = 0
     if mod4 == 3:
-        keys = ["t0", "t0p", "t11", "t1m1", "t2", "t11p", "t1m1p", "t2p",
-                "forbidden", "forbiddenp"]
-        acc = dict.fromkeys(keys, 0)
-        for c in map(int, xs):
-            ev = slice_eval(F, c, xs)
-            t = ev.t_mask
-            total += int(t.sum())
-            in_t0 = t & (ev.eps == -1)   # chi(y - x) = 1
-            in_t0p = t & (ev.eps == 1)
-            both1 = (ev.chi_1mx == 1) & (ev.chi_1my == 1)
-            bothm = (ev.chi_1mx == -1) & (ev.chi_1my == -1)
-            x_m_y_p = (ev.chi_1mx == -1) & (ev.chi_1my == 1)
-            x_p_y_m = (ev.chi_1mx == 1) & (ev.chi_1my == -1)
-            acc["t0"] += int(in_t0.sum())
-            acc["t0p"] += int(in_t0p.sum())
-            acc["t11"] += int((in_t0 & both1).sum())
-            acc["t1m1"] += int((in_t0 & bothm).sum())
-            acc["t2"] += int((in_t0 & x_m_y_p).sum())
-            acc["forbidden"] += int((in_t0 & x_p_y_m).sum())
-            acc["t11p"] += int((in_t0p & both1).sum())
-            acc["t1m1p"] += int((in_t0p & bothm).sum())
-            acc["t2p"] += int((in_t0p & x_p_y_m).sum())
-            acc["forbiddenp"] += int((in_t0p & x_m_y_p).sum())
-        rep = TPartitionReport(F.q, 3, total, acc, None)
-        v = rep.violations
+        acc = dict.fromkeys(["t0", "t0p", "t11", "t1m1", "t2", "t11p", "t1m1p", "t2p",
+                             "forbidden", "forbiddenp"], 0)
+    else:
+        acc = dict.fromkeys(["t1", "t2", "t2p", "forbidden"], 0)
+    total = 0
+    r = np.zeros((3, 16), dtype=np.int64)  # R(rho) on T, on T1 and on T2
+    for c in map(int, xs):
+        ev = slice_eval(F, c, xs)
+        total += ev.t_count
+        pieces = t_pieces(mod4, ev.t_mask, ev.eps, ev.chi_1mx, ev.chi_1my, ev.chi_f)
+        for key in acc:
+            acc[key] += int(pieces[key].sum())
+        if mod4 == 1:
+            rho = pieces["rho"]
+            for row, mask in enumerate((True, pieces["t1"], pieces["t2"])):
+                r[row] += np.bincount(rho[mask & (rho >= 0)], minlength=16)
+
+    rep = TPartitionReport(F.q, mod4, total, acc, None)
+    v = rep.violations
+    if mod4 == 3:
         if acc["t0"] + acc["t0p"] != total:
             v.append("T0 and T0' do not partition T")
         if acc["forbidden"] or acc["forbiddenp"]:
@@ -394,42 +264,12 @@ def t_partition(F: Field) -> TPartitionReport:
             v.append("|T2| != |T2'|")
         return rep
 
-    acc = dict.fromkeys(["t1", "t2", "t2p", "forbidden"], 0)
-    r_all = np.zeros(16, dtype=np.int64)
-    r1 = np.zeros(16, dtype=np.int64)
-    r2 = np.zeros(16, dtype=np.int64)
-    for c in map(int, xs):
-        ev = slice_eval(F, c, xs)
-        t = ev.t_mask
-        total += int(t.sum())
-        m_t1 = t & (ev.chi_1mx == -ev.eps) & (ev.chi_1my == -ev.eps)
-        m_t2 = t & (ev.chi_1mx == ev.eps) & (ev.chi_1my == -ev.eps)
-        m_t2p = t & (ev.chi_1mx == -ev.eps) & (ev.chi_1my == ev.eps)
-        m_forb = t & (ev.chi_1mx == ev.eps) & (ev.chi_1my == ev.eps)
-        acc["t1"] += int(m_t1.sum())
-        acc["t2"] += int(m_t2.sum())
-        acc["t2p"] += int(m_t2p.sum())
-        acc["forbidden"] += int(m_forb.sum())
-        rho = ev.eps[None, :] * ev.chi_f  # shape (4, n)
-        valid = (rho != 0).all(axis=0)
-        code = (
-            ((rho[0] > 0).astype(np.int64) << 3)
-            | ((rho[1] > 0).astype(np.int64) << 2)
-            | ((rho[2] > 0).astype(np.int64) << 1)
-            | (rho[3] > 0).astype(np.int64)
-        )
-        r_all += np.bincount(code[t & valid], minlength=16)
-        r1 += np.bincount(code[m_t1 & valid], minlength=16)
-        r2 += np.bincount(code[m_t2 & valid], minlength=16)
-
     def _rho_of(code: int) -> tuple[int, int, int, int]:
         return tuple(1 if (code >> sh) & 1 else -1 for sh in (3, 2, 1, 0))  # type: ignore[return-value]
 
-    r_counts = {
-        _rho_of(i): (int(r_all[i]), int(r1[i]), int(r2[i])) for i in range(16)
+    rep.r_counts = r_counts = {
+        _rho_of(i): (int(r[0, i]), int(r[1, i]), int(r[2, i])) for i in range(16)
     }
-    rep = TPartitionReport(F.q, 1, total, acc, r_counts)
-    v = rep.violations
     if acc["t1"] + acc["t2"] + acc["t2p"] != total:
         v.append("T1, T2, T2' do not partition T")
     if acc["forbidden"]:
@@ -494,32 +334,26 @@ def slice_counters(F: Field, c: int) -> SliceCounts:
     mod4 = F.q % 4
     if mod4 == 3 and F.chi(F.sub(1, c)) != 1:
         raise BadSliceParam(f"c={c} needs chi(1-c) = 1 when q = 3 mod 4")
-    ev = slice_eval(F, c)
     q = F.q
     rq = math.sqrt(q)
-    admissible = slice_param_admissible(F, c)[0]
+    ev = slice_eval(F, c)
+    pieces = t_pieces(mod4, ev.t_mask, ev.eps, ev.chi_1mx, ev.chi_1my, ev.chi_f)
     if mod4 == 3:
-        in_t0 = ev.t_mask & (ev.eps == -1)
-        t2 = int((in_t0 & (ev.chi_1mx == -1) & (ev.chi_1my == 1)).sum())
-        t11 = int((in_t0 & (ev.chi_1mx == 1) & (ev.chi_1my == 1)).sum())
-        counts = {"t2": t2, "t11": t11}
-        bounds = None
-        if admissible:
-            bounds = {
-                "t2": SliceBound(t2, 25 * q / 2**15, (rq + 1) * 165 / 2 + 21),
-                "t11": SliceBound(t11, 25 * q / 2**11, 96 * (rq + 1) + 21),
-            }
-        return SliceCounts(q, c, 3, counts, admissible, bounds)
-    t1 = int((ev.t_mask & (ev.chi_1mx == -ev.eps) & (ev.chi_1my == -ev.eps)).sum())
-    t2 = int((ev.t_mask & (ev.chi_1mx == ev.eps) & (ev.chi_1my == -ev.eps)).sum())
-    counts = {"t1": t1, "t2": t2}
+        targets = {
+            "t2": (25 * q / 2**15, (rq + 1) * 165 / 2 + 21),
+            "t11": (25 * q / 2**11, 96 * (rq + 1) + 21),
+        }
+    else:
+        targets = {
+            "t1": (169 * q / 2**14, (rq + 1) * 1161 / 2 + 21),
+            "t2": (49 * q / 2**11, (rq + 1) * 4455 / 2 + 21),
+        }
+    counts = {key: int(pieces[key].sum()) for key in targets}
+    admissible = slice_param_admissible(F, c)[0]
     bounds = None
     if admissible:
-        bounds = {
-            "t1": SliceBound(t1, 169 * q / 2**14, (rq + 1) * 1161 / 2 + 21),
-            "t2": SliceBound(t2, 49 * q / 2**11, (rq + 1) * 4455 / 2 + 21),
-        }
-    return SliceCounts(q, c, 1, counts, admissible, bounds)
+        bounds = {key: SliceBound(counts[key], *tr) for key, tr in targets.items()}
+    return SliceCounts(q, c, mod4, counts, admissible, bounds)
 
 
 def t_grid(F: Field) -> np.ndarray:

@@ -15,7 +15,13 @@ from typing import Callable, Sequence
 
 from .assoc import sigma_count
 from .charside import sigma_count_D, slice_counters
-from .errors import BadSliceParam, NotOddPrimePower, SearchExhausted, TooLarge
+from .errors import (
+    BadSliceParam,
+    NotOddPrimePower,
+    SearchExhausted,
+    TooLarge,
+    VerificationFailure,
+)
 from .field import Field, make_field
 from .quasigroup import sigma_cardinality
 from .reports import (
@@ -232,6 +238,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SearchExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
+    except VerificationFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
 
 
 if __name__ == "__main__":

@@ -42,4 +42,8 @@ class SearchExhausted(MnaqError, RuntimeError):
 
 
 class VerificationFailure(MnaqError, RuntimeError):
-    """A verification suite reported at least one failed check."""
+    """A verification suite or a runtime cross-check failed.
+
+    The cross-checks (search's method C confirmation, exact polynomial
+    division, method C's witnesses, the solution classifier) raise this rather
+    than assert, so they also run under python -O."""

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ZeroPolynomial
+from .errors import VerificationFailure, ZeroPolynomial
 from .field import Field
 from .rng import SplitMix64
 
@@ -101,7 +101,8 @@ def poly_mod(F: Field, a: Poly, b: Poly) -> Poly:
 
 def poly_div(F: Field, a: Poly, b: Poly) -> Poly:
     quot, rem = poly_divmod(F, a, b)
-    assert not rem, "exact division expected"
+    if rem:
+        raise VerificationFailure("exact polynomial division left a remainder")
     return quot
 
 
@@ -138,15 +139,23 @@ def poly_derivative(F: Field, a: Poly) -> Poly:
 
 
 def poly_eval(F: Field, a: Poly, x: int) -> int:
-    y = 0
-    for c in reversed(a):
+    if not a:
+        return 0
+    y = a[-1]
+    for c in reversed(a[:-1]):
         y = F.add(F.mul(y, x), c)
     return y
 
 
 def poly_eval_vec(F: Field, a: Poly, X: np.ndarray) -> np.ndarray:
-    Y = np.zeros(X.shape, dtype=np.int64)
-    for c in reversed(a):
+    """a(X) elementwise by Horner's rule; the coefficients may be codes or code
+    arrays that broadcast with X."""
+    if len(a) < 2:
+        return np.zeros(X.shape, dtype=np.int64) + (a[0] if a else 0)
+    lead = a[-1]
+    Y = X if np.ndim(lead) == 0 and lead == 1 else F.vmul(lead, X)
+    Y = F.vadd(Y, a[-2])
+    for c in reversed(a[:-2]):
         Y = F.vadd(F.vmul(Y, X), c)
     return Y
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from .assoc import is_mna_Bscaled, is_mna_C
-from .errors import SearchExhausted
+from .errors import SearchExhausted, VerificationFailure
 from .field import Field
 from .quasigroup import SigmaPair, is_sigma_pair, sigma_cardinality
 from .rng import SplitMix64
@@ -62,7 +62,9 @@ def search_mna(
             if is_mna_Bscaled(F, pair):
                 methods = ["Bscaled"]
                 if cross_check:
-                    assert is_mna_C(F, pair), (F.q, pair)
+                    if not is_mna_C(F, pair):
+                        raise VerificationFailure(
+                            f"{pair} passes method Bscaled but fails method C at q={F.q}")
                     methods.append("C")
                 return SearchCertificate(
                     F.q, pair.a, pair.b, tuple(methods), seed, attempts

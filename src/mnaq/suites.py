@@ -20,16 +20,18 @@ from .assoc import (
 from .charside import (
     is_regular_pair,
     exceptional_pairs,
-    s_class_member,
     sigma_count_D,
     slice_counters,
+    slice_eval,
     count_good_slice_params,
     t_grid,
     t_partition,
+    t_pieces,
 )
 from .field import Field, make_field, odd_prime_powers
 from .gfpoly import factorize, normalize
 from .quasigroup import (
+    SPair,
     SigmaPair,
     enumerate_S,
     enumerate_sigma,
@@ -45,7 +47,7 @@ from .quasigroup import (
     sigma_cardinality,
 )
 from .rng import SplitMix64
-from .weil import run_weil_trials, verify_slice_lists
+from .weil import SLICE_POLYS, run_weil_trials, table_eval, verify_slice_lists
 
 SLICE_FIELDS_MOD3 = (31, 43, 47, 59, 71)
 SLICE_FIELDS_MOD1 = (29, 37, 41, 53)
@@ -230,31 +232,27 @@ def suite_methods(qmax: int, jobs: int = 1) -> SuiteReport:
     return rep
 
 
-def _poly_grids(F: Field) -> dict[str, np.ndarray]:
-    X = F.codes[:, None]
-    Y = F.codes[None, :]
-    XX = F.vmul(X, X)
-    YY = F.vmul(Y, Y)
-    XY = F.vmul(X, Y)
-    two_x = F.vadd(X, X)
-    two_xy = F.vadd(XY, XY)
-    return {
-        "f1": F.vsub(F.vsub(F.vadd(XX, YY), XY), X),
-        "f2": F.vsub(F.vsub(F.vadd(XX, YY), XY), Y),
-        "f3": F.vsub(F.vsub(F.vadd(F.vmul(YY, X), XY), XX), YY),
-        "f4": F.vsub(F.vsub(F.vadd(F.vmul(XX, Y), XY), XX), YY),
-        "g1": F.vsub(F.vadd(XX, Y), two_x),
-        "g2": F.vsub(F.vadd(YY, X), F.vadd(Y, Y)),
-        "g3": F.vsub(F.vadd(XX, Y), two_xy),
-        "g4": F.vsub(F.vadd(YY, X), two_xy),
-    }
+def membership_vs_e_side(F: Field) -> tuple[int, list[tuple]]:
+    """(number of checks, mismatches) of slice_eval's class masks against the
+    equation side, over every regular pair of S and all sixteen classes."""
+    checked, bad = 0, []
+    for y in (c for c in range(2, F.q) if F.chi(c) == 1):
+        ev = slice_eval(F, y)
+        for x, member in zip(map(int, ev.xs), ev.classes.T):
+            if is_regular_pair(F, x, y):
+                truth = solutions_E(F, phi_map(F, SPair(x, y))).classes_present()
+                checked += len(ALL_CLASSES)
+                bad += [(x, y, cls) for code, cls in enumerate(ALL_CLASSES)
+                        if member[code] != (cls in truth)]
+    return checked, bad
 
 
 def suite_charset(qmax: int, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport("charset", qmax)
     for q in odd_prime_powers(7, min(qmax, 49)):
         F = _field(q)
-        g = _poly_grids(F)
+        X, Y = F.codes[:, None], F.codes[None, :]
+        g = {name: table_eval(F, name, X, Y) for name in SLICE_POLYS}
         ok_sym = bool(
             (g["f2"] == g["f1"].T).all()
             and (g["f3"] == g["f4"].T).all()
@@ -278,16 +276,7 @@ def suite_charset(qmax: int, jobs: int = 1) -> SuiteReport:
     for q in MEMBERSHIP_FIELDS:
         if q > qmax:
             continue
-        F = _field(q)
-        ok = True
-        for sp in enumerate_S(F):
-            if not is_regular_pair(F, *sp):
-                continue
-            truth = {tuple(c) for c in solutions_E(F, phi_map(F, sp)).classes_present()}
-            for cls in ALL_CLASSES:
-                if s_class_member(F, sp, cls) != (tuple(cls) in truth):
-                    ok = False
-        rep.add("membership_vs_e_side", q, ok)
+        rep.add("membership_vs_e_side", q, not membership_vs_e_side(_field(q))[1])
     for q in odd_prime_powers(7, qmax):
         F = _field(q)
         exc = exceptional_pairs(F)
@@ -408,29 +397,18 @@ def suite_partitions(qmax: int, jobs: int = 1) -> SuiteReport:
 def _partition_maps_hold(F: Field) -> bool:
     """Elementwise swap/inversion behaviour of the T partition pieces."""
     q = F.q
-    grid = t_grid(F)
-    Xg = F.codes[:, None]
-    Yg = F.codes[None, :]
-    chi = F.chi_table
-    d = chi[F.vsub(Xg, Yg)]
-    c1x = np.broadcast_to(chi[F.vsub(1, F.codes)][:, None], (q, q))
-    c1y = np.broadcast_to(chi[F.vsub(1, F.codes)][None, :], (q, q))
+    X, Y = F.codes[:, None], F.codes[None, :]
+    g = {name: F.chi_table[table_eval(F, name, X, Y)]
+         for name in ("x-1", "x-y", "f1", "f2", "f3", "f4")}
+    c1x = F.chi(F.neg(1)) * g["x-1"]  # chi(1 - x)
+    chi_f = np.stack([g[f"f{j}"] for j in range(1, 5)])
+    m = t_pieces(q % 4, t_grid(F), g["x-y"], c1x, c1x.T, chi_f)
     inv_idx = np.array([0] + [F.inv(u) for u in range(1, q)], dtype=np.int64)
 
     def inv_perm(mask: np.ndarray) -> np.ndarray:
         return mask[np.ix_(inv_idx, inv_idx)]
 
     if q % 4 == 3:
-        t0 = grid & (d == -1)  # chi(y - x) = 1
-        t0p = grid & (d == 1)
-        m = {
-            "t11": t0 & (c1x == 1) & (c1y == 1),
-            "t1m1": t0 & (c1x == -1) & (c1y == -1),
-            "t2": t0 & (c1x == -1) & (c1y == 1),
-            "t11p": t0p & (c1x == 1) & (c1y == 1),
-            "t1m1p": t0p & (c1x == -1) & (c1y == -1),
-            "t2p": t0p & (c1x == 1) & (c1y == -1),
-        }
         ok = (m["t11"].T == m["t11p"]).all() and (m["t1m1"].T == m["t1m1p"]).all()
         ok &= (m["t2"].T == m["t2p"]).all()
         ok &= (inv_perm(m["t11"]) == m["t1m1p"]).all()
@@ -438,49 +416,25 @@ def _partition_maps_hold(F: Field) -> bool:
         ok &= (inv_perm(m["t2"]) == m["t2p"]).all()
         return bool(ok)
 
-    eps = d
-    t1 = grid & (c1x == -eps) & (c1y == -eps)
-    t2 = grid & (c1x == eps) & (c1y == -eps)
-    t2p = grid & (c1x == -eps) & (c1y == eps)
+    t1, t2, t2p, rho = m["t1"], m["t2"], m["t2p"], m["rho"]
     ok = (t1.T == t1).all() and (t2.T == t2p).all()
     ok &= (inv_perm(t1) == t1).all()
     ok &= (inv_perm(t2) == t2).all() and (inv_perm(t2p) == t2p).all()
-    # f-character grids for the R(rho) identities
-    XX = F.vmul(Xg, Xg)
-    YY = F.vmul(Yg, Yg)
-    XY = F.vmul(Xg, Yg)
-    fgrids = [
-        chi[F.vsub(F.vsub(F.vadd(XX, YY), XY), Xg)],              # f1
-        chi[F.vsub(F.vsub(F.vadd(XX, YY), XY), Yg)],              # f2
-        chi[F.vsub(F.vsub(F.vadd(F.vmul(YY, Xg), XY), XX), YY)],  # f3
-        chi[F.vsub(F.vsub(F.vadd(F.vmul(XX, Yg), XY), XX), YY)],  # f4
-    ]
-    rho = [eps * f for f in fgrids]
-    valid = (rho[0] != 0) & (rho[1] != 0) & (rho[2] != 0) & (rho[3] != 0)
-    for signs in [(s1, s2, s3, s4) for s1 in (-1, 1) for s2 in (-1, 1)
-                  for s3 in (-1, 1) for s4 in (-1, 1)]:
-        r_mask = grid & valid
-        for j in range(4):
-            r_mask = r_mask & (rho[j] == signs[j])
-        r1_mask = r_mask & t1
+    for code in range(16):
         # swap sends R_i(s1,s2,s3,s4) to R_i(s2,s1,s4,s3); inversion to
         # R_i(s3,s4,s1,s2)
-        sw = (signs[1], signs[0], signs[3], signs[2])
-        iv = (signs[2], signs[3], signs[0], signs[1])
-        r_sw = grid & valid
-        r_iv = grid & valid
-        for j in range(4):
-            r_sw = r_sw & (rho[j] == sw[j])
-            r_iv = r_iv & (rho[j] == iv[j])
+        r_mask = rho == code
+        r_sw = rho == (((code >> 1) & 0b0101) | ((code << 1) & 0b1010))
+        r_iv = rho == (((code & 0b0011) << 2) | (code >> 2))
         if not (r_mask.T == r_sw).all():
             return False
         if not (inv_perm(r_mask) == r_iv).all():
             return False
-        if not (r1_mask.T == (r_sw & t1)).all():
+        if not ((r_mask & t1).T == (r_sw & t1)).all():
             return False
         if not (inv_perm(r_mask & t2) == (r_iv & t2)).all():
             return False
-    return True
+    return bool(ok)
 
 
 SUITES = {

@@ -10,9 +10,11 @@ count_sign_pattern scans every field element and counts those where each
 polynomial hits its prescribed character sign; for a square-free list the
 count N must satisfy |N - q/2^k| < (sqrt(q)+1) D / 2 with D the total degree.
 
-The admissibility conditions on a slice parameter c (ten of them) guarantee
-square-freeness of the fixed 15-polynomial list used by all slice estimates;
-verify_slice_lists confirms this exhaustively for a field, along with the size of
+SLICE_POLYS is the one table of the classification polynomials (f1..f4, g1..g4
+and seven linear forms in x and y), read by charside's class rules too; at
+y = c it is the fixed 15-polynomial list used by all slice estimates.  The ten
+admissibility conditions on c guarantee that this list is square-free;
+verify_slice_lists confirms it exhaustively for a field, along with the size of
 the root set R(c) and the root-separation facts the argument leans on.
 """
 
@@ -20,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+
+import numpy as np
 
 from .errors import ZeroPolynomial
 from .field import Field
@@ -33,6 +37,7 @@ from .gfpoly import (
     poly_eval_vec,
     poly_gcd,
 )
+from .pool import chunked_map
 from .rng import SplitMix64
 
 
@@ -124,15 +129,34 @@ def count_sign_pattern(
 
 
 # ----------------------------------------------------------------------
-# The slice-parameter conditions and the fixed 15-polynomial list
+# The classification polynomials and the slice-parameter conditions
 # ----------------------------------------------------------------------
 
-def _int_poly_value(F: Field, coeffs: tuple[int, ...], c: int) -> int:
-    """Evaluate a polynomial with small integer coefficients at c."""
-    y = 0
-    for co in reversed(coeffs):
-        y = F.add(F.mul(y, c), F.embed(co))
-    return y
+# integer bivariate polynomials: row i holds the coefficients of x^i as a
+# polynomial in y (constant first); the order is the fixed list's order
+SLICE_POLYS: dict[str, tuple[tuple[int, ...], ...]] = {
+    "x": ((0,), (1,)),
+    "x-1": ((-1,), (1,)),
+    "x-y": ((0, -1), (1,)),
+    "x-1-y": ((-1, -1), (1,)),
+    "x+1-y": ((1, -1), (1,)),
+    "x-xy-y": ((0, -1), (1, -1)),
+    "x+xy-y": ((0, -1), (1, 1)),
+    "g1": ((0, 1), (-2,), (1,)),            # x^2 - 2x + y
+    "g2": ((0, -2, 1), (1,)),               # x + y^2 - 2y
+    "g3": ((0, 1), (0, -2), (1,)),          # x^2 - 2xy + y
+    "g4": ((0, 0, 1), (1, -2)),             # x - 2xy + y^2
+    "f1": ((0, 0, 1), (-1, -1), (1,)),      # x^2 + y^2 - xy - x
+    "f2": ((0, -1, 1), (0, -1), (1,)),      # x^2 + y^2 - xy - y
+    "f3": ((0, 0, -1), (0, 1, 1), (-1,)),   # xy^2 + xy - x^2 - y^2
+    "f4": ((0, 0, -1), (0, 1), (-1, 1)),    # x^2 y + xy - x^2 - y^2
+}
+
+
+def table_eval(F: Field, name: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """SLICE_POLYS[name] at (X, Y), for code arrays that broadcast together."""
+    rows = SLICE_POLYS[name]
+    return poly_eval_vec(F, [poly_eval_vec(F, tuple(map(F.embed, row)), Y) for row in rows], X)
 
 
 # each label names its condition by the first polynomial (or value set) it
@@ -159,7 +183,7 @@ def slice_param_admissible(F: Field, c: int) -> tuple[bool, list[str]]:
     if c in {F.embed(-1), 0, 1, F.inv(two), two}:
         failed.append("excluded-values")
     for label, polys in _COND_POLYS.items():
-        if any(_int_poly_value(F, p, c) == 0 for p in polys):
+        if any(poly_eval(F, tuple(map(F.embed, p)), c) == 0 for p in polys):
             failed.append(label)
     if F.p != 3:
         three = F.embed(3)
@@ -181,49 +205,20 @@ def slice_param_admissible(F: Field, c: int) -> tuple[bool, list[str]]:
 
 
 def slice_poly_list(F: Field, c: int) -> list[Poly]:
-    """The 15 fixed polynomials in x at parameter c, in their canonical order."""
-    m = F.mul
-    s = F.sub
-    n = F.neg
-    a = F.add
-    two = F.embed(2)
-    cc = m(c, c)
-    return [
-        normalize(p)
-        for p in [
-            (0, 1),                       # x
-            (n(1), 1),                    # x - 1
-            (n(c), 1),                    # x - c
-            (n(a(1, c)), 1),              # x - 1 - c
-            (s(1, c), 1),                 # x + 1 - c
-            (n(c), s(1, c)),              # (1-c) x - c
-            (n(c), a(1, c)),              # (1+c) x - c
-            (c, n(two), 1),               # g1 = x^2 - 2x + c
-            (s(cc, m(two, c)), 1),        # g2 = x + c^2 - 2c
-            (c, n(m(two, c)), 1),         # g3 = x^2 - 2cx + c
-            (cc, s(1, m(two, c))),        # g4 = (1-2c) x + c^2
-            (cc, n(a(c, 1)), 1),          # f1 = x^2 - (c+1)x + c^2
-            (s(cc, c), n(c), 1),          # f2 = x^2 - cx + c^2 - c
-            (n(cc), a(cc, c), n(1)),      # f3 = -x^2 + (c^2+c)x - c^2
-            (n(cc), c, s(c, 1)),          # f4 = (c-1)x^2 + cx - c^2
-        ]
-    ]
+    """The 15 fixed polynomials in x at parameter c: SLICE_POLYS at y = c."""
+    return [normalize([poly_eval(F, tuple(map(F.embed, row)), c) for row in rows])
+            for rows in SLICE_POLYS.values()]
 
 
 def r_set(F: Field, c: int) -> list[int]:
     """Roots of the seven degree-one members of the fixed list (with duplicates)."""
-    m = F.mul
-    s = F.sub
-    a = F.add
-    return [
-        c,
-        a(c, 1),
-        s(c, 1),
-        F.div(c, s(1, c)),
-        F.div(c, a(1, c)),
-        m(c, s(F.embed(2), c)),
-        F.div(m(c, c), s(m(F.embed(2), c), 1)),
-    ]
+    return _roots(F, dict(zip(SLICE_POLYS, slice_poly_list(F, c))))
+
+
+def _roots(F: Field, polys: dict[str, Poly]) -> list[int]:
+    linear = ("x-y", "x-1-y", "x+1-y", "x-xy-y", "x+xy-y", "g2", "g4")
+    # a member whose x coefficient vanishes at c has no root: DivisionByZero
+    return [F.div(F.neg(a0), a1) for a0, a1 in ((*polys[name], 0)[:2] for name in linear)]
 
 
 @dataclass
@@ -240,28 +235,27 @@ class SliceListReport:
         return not self.violations
 
 
-def _root_separation_violations(F: Field, c: int) -> list[str]:
+def _root_separation_violations(F: Field, c: int, polys: dict[str, Poly],
+                                roots: list[int]) -> list[str]:
     """Consequence checks at an admissible c: double roots, R(c) hits, shared roots."""
     out = []
-    polys = slice_poly_list(F, c)
-    g1, g3 = polys[7], polys[9]
-    fs = polys[11:15]
-    for name, p in zip(("g1", "g3", "f1", "f2", "f3", "f4"), [g1, g3, *fs]):
+    names = ("g1", "g3", "f1", "f2", "f3", "f4")
+    for name in names:
+        p = polys[name]
         if degree(poly_gcd(F, p, poly_derivative(F, p))) > 0:
             out.append(f"double root in {name} at c={c}")
-    roots = r_set(F, c)
-    for name, p in zip(("g1", "g3", "f1", "f2", "f3", "f4"), [g1, g3, *fs]):
-        if any(poly_eval(F, p, r) == 0 for r in roots):
+    for name in names:
+        if any(poly_eval(F, polys[name], r) == 0 for r in roots):
             out.append(f"{name} vanishes on R(c) at c={c}")
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if degree(poly_gcd(F, fs[i], fs[j])) > 0:
-                out.append(f"f{i+1}/f{j+1} share a root at c={c}")
+    for i in range(1, 5):
+        for j in range(i + 1, 5):
+            if degree(poly_gcd(F, polys[f"f{i}"], polys[f"f{j}"])) > 0:
+                out.append(f"f{i}/f{j} share a root at c={c}")
     return out
 
 
-def _slice_list_chunk(args: tuple[Field, range, bool]) -> SliceListReport:
-    F, cs, check_consequences = args
+def _slice_list_chunk(args: tuple[Field, bool, range]) -> SliceListReport:
+    F, check_consequences, cs = args
     rep = SliceListReport(F.q)
     for c in cs:
         adm, _failed = slice_param_admissible(F, c)
@@ -273,31 +267,22 @@ def _slice_list_chunk(args: tuple[Field, range, bool]) -> SliceListReport:
                     rep.inadmissible_good_slice_count += 1
             continue
         rep.admissible_count += 1
-        res = is_squarefree_list(F, slice_poly_list(F, c))
+        polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
+        res = is_squarefree_list(F, list(polys.values()))
         if not res.squarefree:
             rep.violations.append(f"list not square-free at c={c}: {res.witness}")
-        if len(set(r_set(F, c))) != 7:
+        roots = _roots(F, polys)
+        if len(set(roots)) != 7:
             rep.violations.append(f"|R(c)| != 7 at c={c}")
         if check_consequences:
-            rep.violations.extend(_root_separation_violations(F, c))
+            rep.violations.extend(_root_separation_violations(F, c, polys, roots))
     return rep
 
 
 def verify_slice_lists(F: Field, check_consequences: bool = True, jobs: int = 1) -> SliceListReport:
     """Square-freeness of the fixed list and |R(c)| = 7 at every admissible c."""
-    if jobs <= 1 or F.q < 4 * jobs:
-        return _slice_list_chunk((F, range(F.q), check_consequences))
-    import multiprocessing
-
-    step = (F.q + jobs - 1) // jobs
-    tasks = [
-        (F, range(i, min(i + step, F.q)), check_consequences)
-        for i in range(0, F.q, step)
-    ]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        parts = pool.map(_slice_list_chunk, tasks)
     rep = SliceListReport(F.q)
-    for part in parts:
+    for part in chunked_map(_slice_list_chunk, (F, check_consequences), range(F.q), jobs):
         rep.admissible_count += part.admissible_count
         rep.inadmissible_count += part.inadmissible_count
         rep.inadmissible_good_slice_count += part.inadmissible_good_slice_count

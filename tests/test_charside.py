@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mnaq.assoc import ALL_CLASSES, solutions_E
@@ -5,14 +6,6 @@ from mnaq.charside import (
     is_regular_pair,
     count_good_slice_params,
     exceptional_pairs,
-    f1,
-    f2,
-    f3,
-    f4,
-    g1,
-    g2,
-    g3,
-    g4,
     s_class_member,
     sigma_count_D,
     slice_counters,
@@ -21,32 +14,53 @@ from mnaq.charside import (
 )
 from mnaq.errors import BadSliceParam, IrregularPair, NotInS
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
-from mnaq.weil import slice_param_admissible
+from mnaq.suites import membership_vs_e_side
+from mnaq.weil import SLICE_POLYS, slice_param_admissible, table_eval
 
 from conftest import field
 
 
+def table_grids(F):
+    """Each SLICE_POLYS entry on the (q, q) grid, indexed [x, y]."""
+    X, Y = F.codes[:, None], F.codes[None, :]
+    return {name: table_eval(F, name, X, Y) for name in SLICE_POLYS}
+
+
 @pytest.mark.parametrize("q", [13, 19, 27])
 def test_poly_swap_identities_pointwise(q):
-    F = field(q)
-    for x in range(q):
-        for y in range(q):
-            assert f2(F, x, y) == f1(F, y, x)
-            assert f3(F, x, y) == f4(F, y, x)
-            assert g2(F, x, y) == g1(F, y, x)
-            assert g4(F, x, y) == g3(F, y, x)
+    g = table_grids(field(q))
+    assert (g["f2"] == g["f1"].T).all()
+    assert (g["f3"] == g["f4"].T).all()
+    assert (g["g2"] == g["g1"].T).all()
+    assert (g["g4"] == g["g3"].T).all()
 
 
 @pytest.mark.parametrize("q", [13, 27])
 def test_reciprocal_identities_on_squares(q):
     F = field(q)
+    g = table_grids(F)
     for x in range(2, q):
         for y in range(2, q):
             if F.chi(x) != 1 or F.chi(y) != 1:
                 continue
             xi, yi = F.inv(x), F.inv(y)
-            assert F.chi(f3(F, x, y)) == F.chi(F.neg(f1(F, xi, yi)))
-            assert F.chi(g3(F, x, y)) == F.chi(g1(F, xi, yi))
+            assert F.chi(g["f3"][x, y]) == F.chi(F.neg(g["f1"][xi, yi]))
+            assert F.chi(g["g3"][x, y]) == F.chi(g["g1"][xi, yi])
+
+
+def test_table_matches_scalar_forms():
+    # the grid evaluator against the polynomials written out in F's scalar ops
+    F = field(27)
+    g = table_grids(F)
+    m, a, s, two = F.mul, F.add, F.sub, F.embed(2)
+    for x in range(27):
+        for y in range(27):
+            xx, yy, xy = m(x, x), m(y, y), m(x, y)
+            assert g["f1"][x, y] == s(s(a(xx, yy), xy), x)
+            assert g["f4"][x, y] == s(s(a(m(xx, y), xy), xx), yy)
+            assert g["g1"][x, y] == s(a(xx, y), m(two, x))
+            assert g["g3"][x, y] == s(a(xx, y), m(two, xy))
+            assert g["x-xy-y"][x, y] == s(s(x, xy), y)
 
 
 def test_membership_validates_input():
@@ -76,13 +90,18 @@ def test_exceptional_pairs_limited_and_in_union(q):
 
 @pytest.mark.parametrize("q", [13, 17, 19, 23])
 def test_membership_matches_e_side(q):
-    F = field(q)
+    checked, bad = membership_vs_e_side(field(q))
+    assert checked and not bad, bad[:5]
+
+
+def test_s_class_member_reads_slice_masks():
+    F = field(13)
     for sp in enumerate_S(F):
         if not is_regular_pair(F, *sp):
             continue
-        truth = {tuple(c) for c in solutions_E(F, phi_map(F, sp)).classes_present()}
+        truth = solutions_E(F, phi_map(F, sp)).classes_present()
         for cls in ALL_CLASSES:
-            assert s_class_member(F, sp, cls) == (tuple(cls) in truth), (sp, cls)
+            assert s_class_member(F, sp, cls) == (cls in truth), (sp, cls)
 
 
 def test_mod1_class_0000_rule():
@@ -200,8 +219,6 @@ def test_slice_sums_reconcile_with_partition(q):
 
 @pytest.mark.parametrize("q", [13, 19])
 def test_t_closed_under_swap_and_inversion(q):
-    import numpy as np
-
     F = field(q)
     grid = t_grid(F)
     assert grid.sum() == sigma_count_D(F)

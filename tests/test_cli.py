@@ -96,6 +96,16 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
     assert json.loads(out)["ok"] is False
 
 
+def test_search_cross_check_failure_exit_code(capsys, monkeypatch):
+    import mnaq.search
+
+    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: False)
+    code, out, err = run_cli(capsys, "search", "--q", "13", "--seed", "42")
+    assert code == EXIT_VERIFY
+    assert out == ""
+    assert err.startswith("error: ") and "method C" in err
+
+
 def test_density_table_header_contract(capsys):
     code, out, _ = run_cli(capsys, "density-table", "--q", "13", "--q", "9")
     assert code == EXIT_OK

@@ -1,7 +1,7 @@
 import pytest
 
 from mnaq.assoc import is_mna_Bscaled
-from mnaq.errors import SearchExhausted
+from mnaq.errors import SearchExhausted, VerificationFailure
 from mnaq.quasigroup import SigmaPair, is_sigma_pair
 from mnaq.rng import SplitMix64
 from mnaq.search import (
@@ -44,6 +44,14 @@ def test_search_deterministic():
     assert a == b
     assert is_mna_Bscaled(F, SigmaPair(a.a, a.b))
     assert verify_certificate(F, a)
+
+
+def test_search_cross_check_failure_raises(monkeypatch):
+    import mnaq.search
+
+    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: False)
+    with pytest.raises(VerificationFailure):
+        search_mna(field(13), seed=42)
 
 
 def test_search_exhausts_on_sigma_free_field():

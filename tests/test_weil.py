@@ -1,9 +1,12 @@
+from dataclasses import asdict
+
 import pytest
 
 from mnaq.errors import ZeroPolynomial
-from mnaq.gfpoly import poly_mul
+from mnaq.gfpoly import poly_eval, poly_mul
 from mnaq.rng import SplitMix64
 from mnaq.weil import (
+    SLICE_POLYS,
     PolySpec,
     count_sign_pattern,
     is_squarefree_list,
@@ -12,6 +15,7 @@ from mnaq.weil import (
     run_weil_trials,
     slice_param_admissible,
     slice_poly_list,
+    table_eval,
     verify_slice_lists,
 )
 
@@ -109,6 +113,17 @@ def test_slice_poly_list_shape():
         assert max(degs) == 2
 
 
+@pytest.mark.parametrize("q", [13, 27])
+def test_slice_poly_list_is_table_at_y_equals_c(q):
+    F = field(q)
+    X, Y = F.codes[:, None], F.codes[None, :]
+    grids = [table_eval(F, name, X, Y) for name in SLICE_POLYS]
+    for c in range(q):
+        polys = slice_poly_list(F, c)
+        for x in range(q):
+            assert [poly_eval(F, p, x) for p in polys] == [g[x, c] for g in grids]
+
+
 def test_r_set_size_seven_at_admissible_c():
     for q in (27, 49, 81):
         F = field(q)
@@ -122,6 +137,13 @@ def test_verify_slice_lists_clean(q):
     rep = verify_slice_lists(field(q))
     assert rep.ok, rep.violations
     assert rep.inadmissible_count - 1 <= 51
+
+
+@pytest.mark.parametrize("q", [27, 49])
+def test_verify_slice_lists_jobs_match_serial(q):
+    F = field(q)
+    serial = verify_slice_lists(F, jobs=1)
+    assert asdict(verify_slice_lists(F, jobs=2)) == asdict(serial)
 
 
 def test_inadmissible_good_slice_bound_mod3():
