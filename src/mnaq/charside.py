@@ -9,6 +9,9 @@ Scanning y = c over squares gives sigma(q) in O(q^2) chi-table lookups; the
 same pass feeds the T-partition bookkeeping and the per-slice counters with
 their stated bounds.
 
+T is closed under the swap (x, y) -> (y, x) and the inversion (x, y) -> (1/x, 1/y),
+so sigma_count_D scans about a quarter of the pairs, weighted by their orbits.
+
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
 (at most four per field) are counted as non-MNA members of the union; this
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
-from .field import Field
+from .field import Field, read_only
 from .gfpoly import poly_eval_vec
 from .pool import chunked_map
 from .quasigroup import SPair, is_s_pair
@@ -90,9 +93,7 @@ class SliceEval:
 
 
 def _square_codes(F: Field) -> np.ndarray:
-    mask = F.chi_table == 1
-    mask[0:2] = False
-    return np.nonzero(mask)[0].astype(np.int64)
+    return np.flatnonzero(F.chi_table == 1)[1:]  # 1 is the least square
 
 
 def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
@@ -157,16 +158,52 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
     )
 
 
-def _d_chunk(args: tuple[Field, list[int]]) -> int:
-    F, cs = args
+def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(inv, ring, slices), read-only: inv[u] = 1/u (inv[0] = 0); ring, the squares
+    outside {0, 1} by class {c, 1/c}, c = min(c, 1/c) ascending; rows (c, lo, hi):
+    slice y = c counts ring twice over [lo, hi), its class and the next half."""
+    inv = F.vinv(F.codes)
     xs = _square_codes(F)
-    return sum(slice_eval(F, c, xs).t_count for c in cs)
+    cs = xs[xs <= inv[xs]]
+    ring = np.column_stack([cs, inv[cs]]).ravel()
+    ring = ring[np.diff(ring, prepend=0) != 0]  # the class {-1} once
+    first = np.flatnonzero(ring <= inv[ring])
+    i = np.arange(cs.size)
+    # two opposite classes (even count): the one in the first half takes the other
+    reach = (cs.size - 1 + (i < cs.size / 2)) // 2
+    ends = np.concatenate([first, first + ring.size, [2 * ring.size]])[i + reach + 1]
+    return read_only(inv, ring, np.column_stack([cs, first, ends]))
+
+
+def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray, np.ndarray]) -> int:
+    F, inv, ring, slices = args
+    xs = np.concatenate([ring, ring])
+    total = 0
+    for c, lo, hi in slices:
+        ev = slice_eval(F, int(c), xs[lo:hi])
+        w = 2 if c == inv[c] else 4
+        total += w * ev.t_count - 2 * int(ev.t_mask[ev.xs == inv[c]].sum())
+    return total
 
 
 def sigma_count_D(F: Field, jobs: int = 1) -> int:
-    """sigma(q) as the number of square pairs avoiding every class."""
-    cs = [int(c) for c in _square_codes(F)]
-    return sum(chunked_map(_d_chunk, (F,), cs, jobs))
+    """sigma(q) = |T|, counting one pair per orbit of the swap and the inversion.
+
+    T is closed under (x, y) -> (y, x) and (x, y) -> (1/x, 1/y).  The slices y = c,
+    c <= 1/c (orbit_slices) meet an orbit once per class {u, 1/u} of its coordinates
+    (c = -1 twice).  A pair with x = 1/c (orbit size 2) counts 2; any other counts on
+    the slice whose next half of the classes holds the other class: 4, or 2 at c = -1."""
+    inv, ring, slices = orbit_slices(F)
+    return sum(chunked_map(_d_chunk, (F, inv, ring), slices, jobs))
+
+
+def slice_params(F: Field) -> list[int]:
+    """The c slice_counters accepts: squares outside {0, 1}, with chi(1 - c) = 1
+    when q = 3 mod 4."""
+    cs = _square_codes(F)
+    if F.q % 4 == 3:
+        cs = cs[F.chi_table[F.vsub(1, cs)] == 1]
+    return [int(c) for c in cs]
 
 
 def count_good_slice_params(F: Field) -> int:

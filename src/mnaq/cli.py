@@ -14,7 +14,7 @@ import time
 from typing import Callable, Sequence
 
 from .assoc import sigma_count
-from .charside import sigma_count_D, slice_counters
+from .charside import sigma_count_D, slice_counters, slice_params
 from .errors import (
     BadSliceParam,
     NotOddPrimePower,
@@ -151,14 +151,7 @@ def _slice_rows(F: Field, cs: list[int]) -> list[dict]:
 
 def _cmd_slices(args: argparse.Namespace) -> int:
     F = make_field(args.q)
-    if args.c is not None:
-        cs = [args.c]
-    else:
-        cs = [
-            c
-            for c in range(2, F.q)
-            if F.chi(c) == 1 and (F.q % 4 == 1 or F.chi(F.sub(1, c)) == 1)
-        ]
+    cs = [args.c] if args.c is not None else slice_params(F)
     rows = _slice_rows(F, cs)
     if args.format == "json":
         _emit(to_json(rows), args.out)

@@ -111,6 +111,13 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
+def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The tables, each made read-only in place."""
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
 class Field:
     """Immutable arithmetic context for F_q; shareable across workers."""
 
@@ -122,7 +129,7 @@ class Field:
         if k > 1:
             # row i holds the coefficient vector of t^(k+i) mod modulus
             self._red_rows = self._reduction_rows()
-        self.chi_table, self.sqrt_table = self._build_chi()
+        self.chi_table, self.sqrt_table = read_only(*self._build_chi())
         self._logs: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers ------------------------------------------------
@@ -230,7 +237,8 @@ class Field:
             raise DivisionByZero("0 has no multiplicative inverse")
         if self.k == 1:
             return pow(u, self.q - 2, self.q)
-        return self.pow(u, self.q - 2)
+        log, antilog = self.logs
+        return int(antilog[-log[u] % (self.q - 1)])
 
     def div(self, u: int, v: int) -> int:
         return self.mul(u, self.inv(v))
@@ -280,7 +288,7 @@ class Field:
                 antilog[e] = x
                 log[x] = e
                 x = self.mul(x, g)
-            self._logs = (log, antilog)
+            self._logs = read_only(log, antilog)
         return self._logs
 
     def _least_generator(self) -> int:
@@ -348,6 +356,15 @@ class Field:
         out = np.zeros(U.shape, dtype=np.int64)
         nz = (U != 0) & (V != 0)
         out[nz] = antilog[(log[U[nz]] + log[V[nz]]) % (self.q - 1)]
+        return out
+
+    def vinv(self, U) -> np.ndarray:
+        """Elementwise u^(q-2) by square-and-multiply: the inverse, and 0 at 0."""
+        out = np.ones(np.shape(U), dtype=np.int64)
+        for bit in bin(self.q - 2)[2:]:  # high bit first
+            out = self.vmul(out, out)
+            if bit == "1":
+                out = self.vmul(out, U)
         return out
 
     # -- misc -------------------------------------------------------------

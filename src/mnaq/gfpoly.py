@@ -36,10 +36,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
 def poly_add(F: Field, a: Poly, b: Poly) -> Poly:
     n = max(len(a), len(b))
     out = []

@@ -23,6 +23,7 @@ from .charside import (
     sigma_count_D,
     slice_counters,
     slice_eval,
+    slice_params,
     count_good_slice_params,
     t_grid,
     t_partition,
@@ -261,7 +262,7 @@ def suite_charset(qmax: int, jobs: int = 1) -> SuiteReport:
         )
         # chi(f3(x,y)) = chi(-f1(1/x,1/y)) and chi(g3(x,y)) = chi(g1(1/x,1/y))
         # on pairs of nonzero squares
-        inv_idx = np.array([0] + [F.inv(u) for u in range(1, q)], dtype=np.int64)
+        inv_idx = F.vinv(F.codes)
         sq = F.chi_table == 1
         mask = sq[:, None] & sq[None, :]
         chi = F.chi_table
@@ -289,7 +290,7 @@ def suite_charset(qmax: int, jobs: int = 1) -> SuiteReport:
     for q in odd_prime_powers(7, min(qmax, 49)):
         F = _field(q)
         grid = t_grid(F)
-        inv_idx = np.array([0] + [F.inv(u) for u in range(1, q)], dtype=np.int64)
+        inv_idx = F.vinv(F.codes)
         ok_t_sym = bool(
             (grid == grid.T).all()
             and (grid == grid[np.ix_(inv_idx, inv_idx)]).all()
@@ -351,11 +352,7 @@ def suite_slices(qmax: int, jobs: int = 1) -> SuiteReport:
         bound_ok = True
         admissible = 0
         sums = {}
-        for c in range(2, q):
-            if F.chi(c) != 1:
-                continue
-            if mod3 and F.chi(F.sub(1, c)) != 1:
-                continue
+        for c in slice_params(F):
             sc = slice_counters(F, c)
             for key, val in sc.counts.items():
                 sums[key] = sums.get(key, 0) + val
@@ -403,7 +400,7 @@ def _partition_maps_hold(F: Field) -> bool:
     c1x = F.chi(F.neg(1)) * g["x-1"]  # chi(1 - x)
     chi_f = np.stack([g[f"f{j}"] for j in range(1, 5)])
     m = t_pieces(q % 4, t_grid(F), g["x-y"], c1x, c1x.T, chi_f)
-    inv_idx = np.array([0] + [F.inv(u) for u in range(1, q)], dtype=np.int64)
+    inv_idx = F.vinv(F.codes)
 
     def inv_perm(mask: np.ndarray) -> np.ndarray:
         return mask[np.ix_(inv_idx, inv_idx)]

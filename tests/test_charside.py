@@ -9,10 +9,13 @@ from mnaq.charside import (
     s_class_member,
     sigma_count_D,
     slice_counters,
+    slice_eval,
+    slice_params,
     t_grid,
     t_partition,
 )
 from mnaq.errors import BadSliceParam, IrregularPair, NotInS
+from mnaq.field import odd_prime_powers
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
 from mnaq.suites import membership_vs_e_side
 from mnaq.weil import SLICE_POLYS, slice_param_admissible, table_eval
@@ -140,9 +143,29 @@ def test_sigma_d_matches_method_c(q, sigma_small):
         assert d == sigma_small[q]
 
 
+def test_sigma_d_matches_full_scan():
+    # the full scan over every pair of every slice, kept here as the oracle
+    # for the orbit-weighted count
+    for q in odd_prime_powers(3, 400):
+        F = field(q)
+        squares = [c for c in range(2, q) if F.chi(c) == 1]
+        full = sum(slice_eval(F, c).t_count for c in squares)
+        assert sigma_count_D(F) == full, q
+
+
 def test_sigma_d_jobs_matches_serial():
-    F = field(31)
-    assert sigma_count_D(F, jobs=2) == sigma_count_D(F)
+    # from q = 61 on D scans at least 8 slices, so the fork pool runs
+    for q in (31, 61, 67, 125, 243):
+        F = field(q)
+        assert sigma_count_D(F, jobs=2) == sigma_count_D(F), q
+
+
+def test_slice_params_rule():
+    for q in (27, 29, 31, 49):
+        F = field(q)
+        expected = [c for c in range(2, q) if F.chi(c) == 1
+                    and (q % 4 == 1 or F.chi(F.sub(1, c)) == 1)]
+        assert slice_params(F) == expected
 
 
 @pytest.mark.parametrize("q", [13, 17, 25, 11, 19, 27])

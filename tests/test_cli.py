@@ -162,6 +162,18 @@ def test_slices_bad_c(capsys):
     assert code == EXIT_GUARD
 
 
+def test_count_d_independent_of_jobs(capsys):
+    outs = []
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "count", "--q", "61", "--method", "D",
+                               "--jobs", jobs)
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        payload.pop("seconds")
+        outs.append(payload)
+    assert outs[0] == outs[1]
+
+
 def test_jobs_env_default(monkeypatch, capsys):
     monkeypatch.setenv("MNA_JOBS", "2")
     code, out, _ = run_cli(capsys, "count", "--q", "13")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mnaq.charside import orbit_slices
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
 from mnaq.field import least_irreducible, make_field, odd_prime_powers
 
@@ -102,6 +103,31 @@ def test_field_axioms_random_large():
 def test_inv_zero_raises():
     with pytest.raises(DivisionByZero):
         field(13).inv(0)
+
+
+@pytest.mark.parametrize("q", [243, 125])
+def test_ext_inv_lookup_matches_pow(q):
+    F = field(q)
+    for u in range(1, q):
+        v = F.inv(u)
+        assert F.mul(u, v) == 1
+        assert v == F.pow(u, q - 2)
+
+
+@pytest.mark.parametrize("q", [13, 81, 243, 10007])
+def test_vinv_matches_inv(q):
+    F = field(q)
+    inv = F.vinv(F.codes)
+    assert inv[0] == 0
+    assert all(inv[u] == F.inv(u) for u in range(1, q, max(1, q // 500)))
+
+
+@pytest.mark.parametrize("q", [13, 81])
+def test_field_tables_read_only(q):
+    F = field(q)
+    for table in (F.chi_table, F.sqrt_table, *F.logs, *orbit_slices(F)):
+        with pytest.raises(ValueError):
+            table[1] = 0
 
 
 def test_specific_arithmetic_f13():
