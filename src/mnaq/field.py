@@ -8,9 +8,12 @@ always the lexicographically least monic irreducible of degree k over F_p
 (coefficients compared constant term first), which makes element codes
 reproducible across implementations.
 
-The quadratic character chi maps nonzero squares to +1, nonsquares to -1 and
-0 to 0.  It is built once per field by marking u*u for every nonzero u, giving
-O(1) lookups for any q, including extension fields.
+An extension field multiplies only through log/antilog tables keyed to the
+least multiplicative generator g by code, built with the field from one k x k
+matrix over F_p, "multiply by g".  The quadratic character chi maps nonzero
+squares to +1, nonsquares to -1 and 0 to 0; on an extension field it is the
+parity of the log.  A prime field keeps % arithmetic, marks chi at u*u for
+every nonzero u, and builds its log tables on first use.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
 
 # ----------------------------------------------------------------------
 # Dense polynomial helpers over F_p (coefficient lists, constant term first).
-# Only used for modulus selection and scalar extension-field arithmetic.
+# Only the modulus search uses them; field arithmetic never does.
 # ----------------------------------------------------------------------
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -96,7 +99,8 @@ def least_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically least (constant-first) monic irreducible of degree k over F_p."""
     if k == 1:
         return (0, 1)
-    for idx in range(p**k):
+    # below p^(k-1) the constant term is 0, so t divides the candidate
+    for idx in range(p ** (k - 1), p**k):
         c = []
         x = idx
         for _ in range(k):
@@ -118,6 +122,9 @@ def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
     return tables
 
 
+LOG_BLOCK = 1024  # digit rows per step of the antilog fill
+
+
 class Field:
     """Immutable arithmetic context for F_q; shareable across workers."""
 
@@ -126,29 +133,10 @@ class Field:
         self.p = p
         self.k = k
         self.modulus = modulus
-        if k > 1:
-            # row i holds the coefficient vector of t^(k+i) mod modulus
-            self._red_rows = self._reduction_rows()
+        self._logs = None if k == 1 else read_only(*self._log_tables())
         self.chi_table, self.sqrt_table = read_only(*self._build_chi())
-        self._logs: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- construction helpers ------------------------------------------------
-
-    def _reduction_rows(self) -> list[list[int]]:
-        p, k, m = self.p, self.k, self.modulus
-        rows = []
-        # t^k = -(m_0 + m_1 t + ... + m_{k-1} t^{k-1})
-        cur = [(-m[i]) % p for i in range(k)]
-        rows.append(cur[:])
-        for _ in range(k - 2):
-            nxt = [0] + cur[:-1]
-            lead = cur[-1]
-            if lead:
-                for i in range(k):
-                    nxt[i] = (nxt[i] + lead * rows[0][i]) % p
-            rows.append(nxt)
-            cur = nxt
-        return rows
 
     def _build_chi(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
@@ -163,21 +151,74 @@ class Field:
             # roots largest-first and the least root wins
             sqrt[sq[::-1]] = u[::-1]
         else:
-            for u in range(q - 1, 0, -1):
-                s = self.mul(u, u)
-                chi[s] = 1
-                sqrt[s] = u
+            antilog = self._logs[1]
+            half = (q - 1) // 2
+            chi[antilog[::2]] = 1
+            # the roots of g^(2e) are g^e and g^(e+(q-1)/2)
+            sqrt[antilog[::2]] = np.minimum(antilog[:half], antilog[half:])
         return chi, sqrt
 
-    # -- scalar element arithmetic (codes in [0, q)) ---------------------------
+    def _mul_matrix(self, u: int) -> np.ndarray:
+        """The k x k matrix over F_p of "multiply by u": row j holds the digits
+        of u*t^j, so a row of digits times it is the digits of the product."""
+        p, k = self.p, self.k
+        times_t = np.zeros((k, k), dtype=np.int64)
+        times_t[:-1, 1:] = np.eye(k - 1, dtype=np.int64)
+        times_t[-1] = [-c % p for c in self.modulus[:k]]  # t^k = -(m_0 + ... + m_(k-1) t^(k-1))
+        rows = [u // p ** np.arange(k) % p]
+        for _ in range(k - 1):
+            rows.append(rows[-1] @ times_t % p)
+        return np.array(rows)
 
-    def digits(self, u: int) -> list[int]:
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(u % p)
-            u //= p
+    def _mat_pow(self, m: np.ndarray, n: int) -> np.ndarray:
+        out = np.eye(self.k, dtype=np.int64)
+        while n:
+            if n & 1:
+                out = out @ m % self.p
+            m = m @ m % self.p
+            n >>= 1
         return out
+
+    def _least_generator(self) -> np.ndarray:
+        """The "multiply by g" matrix of the least multiplicative generator g."""
+        n = self.q - 1
+        fac = []
+        m = n
+        d = 2
+        while d * d <= m:
+            if m % d == 0:
+                fac.append(d)
+                while m % d == 0:
+                    m //= d
+            d += 1
+        if m > 1:
+            fac.append(m)
+        one = np.eye(self.k, dtype=np.int64)
+        for g in range(2, self.q):
+            mat = self._mul_matrix(g)
+            if not any(np.array_equal(self._mat_pow(mat, n // r), one) for r in fac):
+                return mat
+        raise RuntimeError("no generator found")  # unreachable for a field
+
+    def _log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log, antilog) with antilog[e] = g^e for the least generator g."""
+        q, p = self.q, self.p
+        step = self._least_generator()
+        # digit rows of g^0 .. g^(b-1), doubled up to one block; step = g^b
+        rows = np.eye(1, self.k, dtype=np.int64)
+        while len(rows) < min(LOG_BLOCK, q - 1):
+            rows = np.vstack([rows, rows @ step % p])
+            step = step @ step % p
+        place = p ** np.arange(self.k)
+        antilog = np.empty(q - 1, dtype=np.int64)
+        for lo in range(0, q - 1, len(rows)):
+            antilog[lo:lo + len(rows)] = (rows @ place)[:q - 1 - lo]
+            rows = rows @ step % p
+        log = np.full(q, -1, dtype=np.int64)
+        log[antilog] = np.arange(q - 1)
+        return log, antilog
+
+    # -- scalar element arithmetic (codes in [0, q)) ---------------------------
 
     def add(self, u: int, v: int) -> int:
         if self.k == 1:
@@ -210,27 +251,10 @@ class Field:
     def mul(self, u: int, v: int) -> int:
         if self.k == 1:
             return (u * v) % self.q
-        p, k = self.p, self.k
-        du = self.digits(u)
-        dv = self.digits(v)
-        conv = [0] * (2 * k - 1)
-        for i, a in enumerate(du):
-            if a:
-                for j, b in enumerate(dv):
-                    conv[i + j] = (conv[i + j] + a * b) % p
-        out = conv[:k]
-        for i in range(k, 2 * k - 1):
-            c = conv[i]
-            if c:
-                row = self._red_rows[i - k]
-                for j in range(k):
-                    out[j] = (out[j] + c * row[j]) % p
-        code = 0
-        mult = 1
-        for c in out:
-            code += c * mult
-            mult *= p
-        return code
+        if u == 0 or v == 0:
+            return 0
+        log, antilog = self.logs
+        return int(antilog[(log[u] + log[v]) % (self.q - 1)])
 
     def inv(self, u: int) -> int:
         if u == 0:
@@ -249,14 +273,10 @@ class Field:
             n = -n
         if self.k == 1:
             return pow(u, n, self.q)
-        out = 1
-        base = u
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
+        if u == 0:
+            return 0 if n else 1
+        log, antilog = self.logs
+        return int(antilog[int(log[u]) * n % (self.q - 1)])
 
     def embed(self, n: int) -> int:
         """Code of the prime-subfield element n mod p."""
@@ -273,41 +293,13 @@ class Field:
             raise ValueError(f"{u} is not a square in F_{self.q}")
         return int(self.sqrt_table[u])
 
-    # -- log/antilog tables (built on demand, keyed to the least generator) ----
-
     @property
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log, antilog) for the least multiplicative generator by code."""
+        """(log, antilog) for the least multiplicative generator by code; built
+        with the field on an extension field, on first use on a prime field."""
         if self._logs is None:
-            g = self._least_generator()
-            q = self.q
-            antilog = np.zeros(q - 1, dtype=np.int64)
-            log = np.full(q, -1, dtype=np.int64)
-            x = 1
-            for e in range(q - 1):
-                antilog[e] = x
-                log[x] = e
-                x = self.mul(x, g)
-            self._logs = read_only(log, antilog)
+            self._logs = read_only(*self._log_tables())
         return self._logs
-
-    def _least_generator(self) -> int:
-        n = self.q - 1
-        fac = []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                fac.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            fac.append(m)
-        for g in range(2, self.q):
-            if all(self.pow(g, n // r) != 1 for r in fac):
-                return g
-        raise RuntimeError("no generator found")  # unreachable for a field
 
     # -- vectorized arithmetic on int64 code arrays ----------------------------
 
@@ -371,9 +363,6 @@ class Field:
 
     def __repr__(self) -> str:
         return f"Field(q={self.q}, p={self.p}, k={self.k})"
-
-    def elements(self) -> range:
-        return range(self.q)
 
 
 def make_field(q: int) -> Field:

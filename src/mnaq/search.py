@@ -47,9 +47,9 @@ def search_mna(
     F: Field,
     seed: int,
     max_attempts: int = 10_000,
-    cross_check: bool = True,
 ) -> SearchCertificate:
-    """First sampled Sigma pair that verifies as maximally nonassociative."""
+    """First sampled Sigma pair that verifies as maximally nonassociative by
+    method Bscaled, cross-checked by method C."""
     rng = SplitMix64(seed)
     draw_budget = 64 * max_attempts + 64
     attempts = 0
@@ -60,14 +60,11 @@ def search_mna(
                 break
             attempts += 1
             if is_mna_Bscaled(F, pair):
-                methods = ["Bscaled"]
-                if cross_check:
-                    if not is_mna_C(F, pair):
-                        raise VerificationFailure(
-                            f"{pair} passes method Bscaled but fails method C at q={F.q}")
-                    methods.append("C")
+                if not is_mna_C(F, pair):
+                    raise VerificationFailure(
+                        f"{pair} passes method Bscaled but fails method C at q={F.q}")
                 return SearchCertificate(
-                    F.q, pair.a, pair.b, tuple(methods), seed, attempts
+                    F.q, pair.a, pair.b, ("Bscaled", "C"), seed, attempts
                 )
     raise SearchExhausted(
         f"no maximally nonassociative pair in {attempts} attempts at q={F.q}"

@@ -254,8 +254,8 @@ def _root_separation_violations(F: Field, c: int, polys: dict[str, Poly],
     return out
 
 
-def _slice_list_chunk(args: tuple[Field, bool, range]) -> SliceListReport:
-    F, check_consequences, cs = args
+def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
+    F, cs = args
     rep = SliceListReport(F.q)
     for c in cs:
         adm, _failed = slice_param_admissible(F, c)
@@ -274,15 +274,15 @@ def _slice_list_chunk(args: tuple[Field, bool, range]) -> SliceListReport:
         roots = _roots(F, polys)
         if len(set(roots)) != 7:
             rep.violations.append(f"|R(c)| != 7 at c={c}")
-        if check_consequences:
-            rep.violations.extend(_root_separation_violations(F, c, polys, roots))
+        rep.violations.extend(_root_separation_violations(F, c, polys, roots))
     return rep
 
 
-def verify_slice_lists(F: Field, check_consequences: bool = True, jobs: int = 1) -> SliceListReport:
-    """Square-freeness of the fixed list and |R(c)| = 7 at every admissible c."""
+def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
+    """Square-freeness of the fixed list, |R(c)| = 7 and the root-separation
+    consequences at every admissible c."""
     rep = SliceListReport(F.q)
-    for part in chunked_map(_slice_list_chunk, (F, check_consequences), range(F.q), jobs):
+    for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
         rep.admissible_count += part.admissible_count
         rep.inadmissible_count += part.inadmissible_count
         rep.inadmissible_good_slice_count += part.inadmissible_good_slice_count
@@ -295,17 +295,16 @@ def verify_slice_lists(F: Field, check_consequences: bool = True, jobs: int = 1)
 # Seeded random square-free lists for the sign-pattern bound sweep
 # ----------------------------------------------------------------------
 
-def random_squarefree_specs(
-    F: Field,
-    rng: SplitMix64,
-    max_k: int = 4,
-    max_total_degree: int = 8,
-    max_tries: int = 200,
-) -> list[PolySpec] | None:
+SPEC_MAX_K = 4  # polynomials per random list
+SPEC_MAX_TOTAL_DEGREE = 8
+SPEC_MAX_TRIES = 200
+
+
+def random_squarefree_specs(F: Field, rng: SplitMix64) -> list[PolySpec] | None:
     """Draw a square-free list of signed polynomials, or None if unlucky."""
-    for _ in range(max_tries):
-        k = 1 + rng.below(max_k)
-        budget = max_total_degree - k  # one degree reserved per polynomial
+    for _ in range(SPEC_MAX_TRIES):
+        k = 1 + rng.below(SPEC_MAX_K)
+        budget = SPEC_MAX_TOTAL_DEGREE - k  # one degree reserved per polynomial
         polys = []
         for i in range(k):
             extra = rng.below(budget + 1)

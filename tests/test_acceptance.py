@@ -106,7 +106,7 @@ def test_criterion_05_squarefree_lists():
     violations = []
     admissible_total = 0
     for q in odd_prime_powers(3, 199):
-        rep = verify_slice_lists(field(q), check_consequences=True)
+        rep = verify_slice_lists(field(q))
         admissible_total += rep.admissible_count
         violations.extend(f"q={q}: {v}" for v in rep.violations)
     elapsed = time.perf_counter() - start

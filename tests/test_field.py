@@ -1,5 +1,8 @@
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnaq.charside import orbit_slices
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
@@ -38,6 +41,29 @@ def test_least_irreducible_has_no_small_factors(k):
         for x in range(p):
             val = sum(c * x**i for i, c in enumerate(mod)) % p
             assert val != 0
+
+
+# modulus, then CRC-32 of chi, sqrt, log and antilog, each table as int64; the
+# entries for 2187, 2401 and 59049 are perfbench/workloads.py REFERENCE["tables"]
+PINNED_TABLES = {
+    27: ((1, 0, 2, 1), 4028923979, 1365666947, 3035474039, 3678208230),
+    125: ((1, 0, 1, 1), 4013906716, 2810063455, 813042907, 3506564305),
+    243: ((1, 0, 0, 0, 2, 1), 1370660507, 2499237396, 2559279399, 2165973381),
+    2187: ((1, 0, 0, 0, 0, 1, 2, 1), 3518842127, 1024410456, 609571707, 2839547729),
+    2401: ((1, 0, 0, 1, 1), 4240791377, 1238920074, 3586143900, 2164503498),
+    59049: ((1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+            932850648, 515274546, 3808797075, 2444613340),
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_TABLES))
+def test_field_tables_pinned(q):
+    # element codes, the generator and the least-root sqrt are public contract
+    F = field(q)
+    modulus, *crcs = PINNED_TABLES[q]
+    assert F.modulus == modulus
+    tables = (F.chi_table, F.sqrt_table, *F.logs)
+    assert [zlib.crc32(np.asarray(t, dtype=np.int64).tobytes()) for t in tables] == crcs
 
 
 @pytest.mark.parametrize("q", [8, 12, 1, 2, 15, 21])
@@ -98,6 +124,51 @@ def test_field_axioms_random_large():
     for u, v, w in rng.integers(0, F.q, size=(100_000, 3)):
         u, v, w = int(u), int(v), int(w)
         assert F.mul(u, F.add(v, w)) == F.add(F.mul(u, v), F.mul(u, w))
+
+
+# extension fields above the exhaustive sizes; derandomized, so tier-1 draws
+# the same examples on every run
+PROPERTY_FIELDS = [3**7, 7**4, 5**5, 3**10]
+properties = settings(derandomize=True, database=None, max_examples=100, deadline=None)
+
+
+@pytest.mark.parametrize("q", PROPERTY_FIELDS)
+def test_ext_scalar_properties(q):
+    F = field(q)
+    codes = st.integers(0, q - 1)
+
+    @properties
+    @given(codes, codes, codes)
+    def check(u, v, w):
+        # distributivity ties the log-table multiply to the digit-loop add
+        assert F.mul(u, F.add(v, w)) == F.add(F.mul(u, v), F.mul(u, w))
+        if u:
+            assert F.mul(u, F.inv(u)) == 1
+            assert F.pow(u, q - 1) == 1
+        assert F.chi(F.mul(u, v)) == F.chi(u) * F.chi(v)
+        s = F.mul(u, u)
+        r = F.sqrt(s)
+        assert F.mul(r, r) == s
+        assert r == min(r, F.neg(r))  # the least root by code
+
+    check()
+
+
+@pytest.mark.parametrize("q", PROPERTY_FIELDS)
+def test_ext_vector_ops_match_scalar_property(q):
+    F = field(q)
+    codes = st.integers(0, q - 1)
+
+    @properties
+    @given(st.lists(st.tuples(codes, codes), min_size=1, max_size=50))
+    def check(pairs):
+        U, V = np.array(pairs, dtype=np.int64).T
+        got = np.stack([F.vadd(U, V), F.vsub(U, V), F.vneg(U), F.vmul(U, V), F.vinv(U)])
+        for i, (u, v) in enumerate(pairs):
+            want = [F.add(u, v), F.sub(u, v), F.neg(u), F.mul(u, v), F.inv(u) if u else 0]
+            assert got[:, i].tolist() == want
+
+    check()
 
 
 def test_inv_zero_raises():
