@@ -12,6 +12,11 @@ their stated bounds.
 T is closed under the swap (x, y) -> (y, x) and the inversion (x, y) -> (1/x, 1/y),
 so sigma_count_D scans about a quarter of the pairs, weighted by their orbits.
 
+The rules run on blocks of slices, x given by their logs (slice_eval is the
+one-row view): a SLICE_POLYS entry is a signed sum of its monomials x^i y^j,
+columns i*log(x) + j*log(y) of Field.log_digits, and costs a few integer adds
+and one Field.chi_of_sum lookup, with no reduction mod q.
+
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
 (at most four per field) are counted as non-MNA members of the union; this
@@ -27,12 +32,12 @@ import numpy as np
 
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
 from .field import Field, read_only
-from .gfpoly import poly_eval_vec
 from .pool import chunked_map
 from .quasigroup import SPair, is_s_pair
-from .weil import slice_param_admissible, slice_poly_list
+from .weil import SLICE_POLYS, slice_param_admissible
 
 T_GRID_LIMIT = 512
+BLOCK_DIGITS = 1 << 13  # digits (rows x width x k) per block of sigma_count_D's slices
 
 
 def _irregular_xs(F: Field, y: int) -> list[int]:
@@ -97,22 +102,50 @@ def _square_codes(F: Field) -> np.ndarray:
 
 
 def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
-    """Evaluate every class rule on the slice y = c."""
+    """Evaluate every class rule on the slice y = c at the x in xs (default: the
+    squares outside {0, 1}); c and the x are read by their logs, so nonzero."""
     if xs is None:
         xs = _square_codes(F)
     X = xs[xs != c]
-    # chi of each member of the fixed list but the first (chi(x) = 1 on squares)
+    if c == 0 or not X.all():
+        raise ValueError("slice_eval takes nonzero codes")
+    m, t, eps, c1x, c1y, chi_f = _evaluate(F, np.array([c]), F.logs[0][X][None])
+    return SliceEval(c=c, xs=X, classes=m[:, 0], t_mask=t[0], eps=eps[0],
+                     chi_1mx=c1x[0], chi_1my=int(c1y[0, 0]), chi_f=chi_f[:, 0])
+
+
+def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> list[np.ndarray]:
+    """chi of each SLICE_POLYS entry but the first (chi(x) = 1 on squares) at
+    (x, y) = (g^LX[b], cs[b]), summed from the log_digits columns of its monomials."""
+    digits, zero, _ = F.log_digits
+    Lc = F.logs[0][cs][:, None].astype(LX.dtype)
+    mono: dict[tuple[int, int], np.ndarray] = {}
+    chars = []
+    for poly in list(SLICE_POLYS.values())[1:]:
+        T = zero  # the x-free monomials come first, while T is one column wide
+        for i, row in enumerate(poly):
+            for j, a in enumerate(row):
+                if (i, j) not in mono and a:
+                    mono[i, j] = np.take(digits, i * LX + j * Lc, axis=1)
+                for _ in range(abs(a)):
+                    T = T + mono[i, j] if a > 0 else T - mono[i, j]
+        chars.append(F.chi_of_sum(T))
+    return chars
+
+
+def _evaluate(F: Field, cs: np.ndarray, LX: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(classes, t_mask, eps, chi_1mx, chi_1my, chi_f) of slice_eval with a row axis:
+    row b is the slice y = cs[b] at the x with logs LX[b]."""
     (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4) = (
-        F.chi_table[poly_eval_vec(F, p, X)] for p in slice_poly_list(F, c)[1:]
-    )
+        _slice_chars(F, cs, LX))
     # the mirrored forms differ from the listed ones by chi(-1)
     s_neg = F.chi(F.neg(1))
     c1x = s_neg * xm1                                  # 1 - x
-    c1y = F.chi(F.sub(1, c))                           # 1 - y
+    c1y = F.chi_table[F.vsub(1, cs)][:, None]          # 1 - y
     yp1mx, ym1mx = s_neg * xm1my, s_neg * xp1my        # y + 1 - x, y - 1 - x
     ypxymx, ymxymx = s_neg * xmxymy, s_neg * xpxymy    # y + xy - x, y - xy - x
 
-    m = np.zeros((16, X.size), dtype=bool)
+    m = np.zeros((16, *LX.shape), dtype=bool)
     if F.q % 4 == 1:
         # the six (i, j) mixed classes not set here are empty
         m[0] = m[15] = (c1x == eps) & (c1y == eps)
@@ -142,20 +175,12 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
         m[10] = (ymxymx * ym1mx == 1) & (g2 * eps * ym1mx == 1) & (g3 * eps * ym1mx == 1)
 
     # regularity failures count as members of the union
-    regular = np.ones(X.size, dtype=bool)
-    for x in _irregular_xs(F, c):
-        regular &= X != x
-
-    return SliceEval(
-        c=c,
-        xs=X,
-        classes=m,
-        t_mask=regular & ~m.any(axis=0),
-        eps=eps,
-        chi_1mx=c1x,
-        chi_1my=c1y,
-        chi_f=np.stack([f1, f2, f3, f4]),
-    )
+    log = F.logs[0]
+    t = ~m.any(axis=0)
+    for b, c in enumerate(cs.tolist()):
+        for x in _irregular_xs(F, c):
+            t[b] &= LX[b] != log[x]
+    return m, t, eps, c1x, c1y, np.stack([f1, f2, f3, f4])
 
 
 def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -175,14 +200,23 @@ def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return read_only(inv, ring, np.column_stack([cs, first, ends]))
 
 
-def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray, np.ndarray]) -> int:
-    F, inv, ring, slices = args
-    xs = np.concatenate([ring, ring])
+def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
+    F, ring, slices = args
+    log = F.logs[0]
+    Lxs = np.tile(log[ring].astype(np.int32), 2)
+    cs, lo, hi = slices.T
+    width, Lc, Linv = hi - lo, log[cs], log[F.vinv(cs)]
+    # weight 4, or 2 on the slice c = -1; x = 1/c (an orbit of size 2) 2 less
+    weight = np.where(Lc == Linv, 2, 4)
+    rows = max(1, BLOCK_DIGITS // (F.k * int(width.max(initial=1))))
     total = 0
-    for c, lo, hi in slices:
-        ev = slice_eval(F, int(c), xs[lo:hi])
-        w = 2 if c == inv[c] else 4
-        total += w * ev.t_count - 2 * int(ev.t_mask[ev.xs == inv[c]].sum())
+    for s in range(0, len(slices), rows):
+        b = slice(s, s + rows)
+        cols = np.arange(width[b].max())
+        LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
+        t = _evaluate(F, cs[b], LX)[1]
+        t &= (cols < width[b, None]) & (LX != Lc[b, None])
+        total += int(((weight[b, None] - 2 * (LX == Linv[b, None])) * t).sum())
     return total
 
 
@@ -193,8 +227,8 @@ def sigma_count_D(F: Field, jobs: int = 1) -> int:
     c <= 1/c (orbit_slices) meet an orbit once per class {u, 1/u} of its coordinates
     (c = -1 twice).  A pair with x = 1/c (orbit size 2) counts 2; any other counts on
     the slice whose next half of the classes holds the other class: 4, or 2 at c = -1."""
-    inv, ring, slices = orbit_slices(F)
-    return sum(chunked_map(_d_chunk, (F, inv, ring), slices, jobs))
+    _, ring, slices = orbit_slices(F)
+    return sum(chunked_map(_d_chunk, (F, ring), slices, jobs))
 
 
 def slice_params(F: Field) -> list[int]:

@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: count, search, verify, density-table, slices.
-Exit codes: 0 success, 2 usage or invalid q, 3 size guard, 4 search
-exhausted, 5 verification failure.  MNA_JOBS sets the default for --jobs.
+Exit codes: 0 success, 2 usage or invalid q, 3 size guard or bad slice
+parameter, 4 search exhausted, 5 verification failure, 6 any other package
+error (valid input never reaches one).  MNA_JOBS sets the default for --jobs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .assoc import sigma_count
 from .charside import sigma_count_D, slice_counters, slice_params
 from .errors import (
     BadSliceParam,
+    MnaqError,
     NotOddPrimePower,
     SearchExhausted,
     TooLarge,
@@ -39,6 +41,9 @@ EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_EXHAUSTED = 4
 EXIT_VERIFY = 5
+EXIT_INTERNAL = 6  # every other MnaqError
+EXIT_CODES = {NotOddPrimePower: EXIT_USAGE, TooLarge: EXIT_GUARD, BadSliceParam: EXIT_GUARD,
+              SearchExhausted: EXIT_EXHAUSTED, VerificationFailure: EXIT_VERIFY}
 
 
 def _default_jobs() -> int:
@@ -222,18 +227,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotOddPrimePower as exc:
+    except MnaqError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (TooLarge, BadSliceParam) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
-    except SearchExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXHAUSTED
-    except VerificationFailure as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
+        return EXIT_CODES.get(type(exc), EXIT_INTERNAL)
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ every nonzero u, and builds its log tables on first use.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -123,6 +124,8 @@ def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 LOG_BLOCK = 1024  # digit rows per step of the antilog fill
+LOG_DIGIT_TILES = 3  # copies of the antilog in Field.log_digits: the largest degree
+SUM_TERMS = 4  # columns of log_digits a sum read by Field.chi_of_sum may add up
 
 
 class Field:
@@ -135,6 +138,10 @@ class Field:
         self.modulus = modulus
         self._logs = None if k == 1 else read_only(*self._log_tables())
         self.chi_table, self.sqrt_table = read_only(*self._build_chi())
+
+    def __reduce__(self):
+        # a worker rebuilds the tables, so a pickled field stays small
+        return Field, (self.q, self.p, self.k, self.modulus)
 
     # -- construction helpers ------------------------------------------------
 
@@ -351,13 +358,40 @@ class Field:
         return out
 
     def vinv(self, U) -> np.ndarray:
-        """Elementwise u^(q-2) by square-and-multiply: the inverse, and 0 at 0."""
-        out = np.ones(np.shape(U), dtype=np.int64)
-        for bit in bin(self.q - 2)[2:]:  # high bit first
-            out = self.vmul(out, out)
-            if bit == "1":
-                out = self.vmul(out, U)
-        return out
+        """Elementwise inverse by one log lookup, and 0 at 0."""
+        U = np.asarray(U, dtype=np.int64)
+        log, antilog = self.logs
+        return np.where(U == 0, 0, antilog[-log[U] % (self.q - 1)])
+
+    # -- characters of unreduced sums of powers of g --------------------------
+
+    @cached_property
+    def log_digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, zero, table), built on first use.  rows[:, e] holds g^e for e below
+        LOG_DIGIT_TILES*(q-1), the code on a prime field and the base-p digits on an
+        extension field, so a monomial in elements given by their logs needs no index
+        reduction.  chi_of_sum reads zero + (a signed sum of at most SUM_TERMS columns)."""
+        p, k = self.p, self.k
+        span = SUM_TERMS * (p - 1)  # a digit of a sum lies in [-span, span]
+        # digit i of a sum is read from the i-th copy of the residue table
+        zero = span + (2 * span + 1) * np.arange(k).reshape(k, 1, 1)
+        if k == 1:  # chi(t mod q) for t = -span, ..., span
+            rows, dtype = self.logs[1][None], np.int32
+            table = np.resize(np.roll(self.chi_table, span), 2 * span + 1)
+        else:
+            rows, dtype = self.logs[1] // p ** np.arange(k)[:, None] % p, np.int16
+            t = np.arange(-span, span + 1) % p
+            table = (t * p ** np.arange(k)[:, None]).astype(np.int32).ravel()
+        rows = np.tile(rows.astype(dtype), LOG_DIGIT_TILES)
+        return read_only(rows, zero.astype(dtype), table)
+
+    def chi_of_sum(self, T: np.ndarray) -> np.ndarray:
+        """chi of the sums T (shape (k, ...)) that log_digits describes: one lookup on
+        a prime field; the digit residues times their place values, summed, then chi."""
+        table = self.log_digits[2]
+        if self.k == 1:
+            return table.take(T[0])
+        return self.chi_table[table.take(T).sum(axis=0)]
 
     # -- misc -------------------------------------------------------------
 

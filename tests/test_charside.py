@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+from mnaq import charside
 from mnaq.assoc import ALL_CLASSES, solutions_E
 from mnaq.charside import (
     is_regular_pair,
     count_good_slice_params,
     exceptional_pairs,
+    orbit_slices,
     s_class_member,
     sigma_count_D,
     slice_counters,
@@ -15,10 +17,11 @@ from mnaq.charside import (
     t_partition,
 )
 from mnaq.errors import BadSliceParam, IrregularPair, NotInS
-from mnaq.field import odd_prime_powers
+from mnaq.field import LOG_DIGIT_TILES, SUM_TERMS, odd_prime_powers
+from mnaq.gfpoly import poly_eval_vec
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
 from mnaq.suites import membership_vs_e_side
-from mnaq.weil import SLICE_POLYS, slice_param_admissible, table_eval
+from mnaq.weil import SLICE_POLYS, slice_param_admissible, slice_poly_list, table_eval
 
 from conftest import field
 
@@ -70,6 +73,15 @@ def test_membership_validates_input():
     F = field(13)
     with pytest.raises(NotInS):
         s_class_member(F, SPair(0, 3), (0, 0, 0, 0))
+
+
+def test_slice_eval_rejects_zero():
+    # the slice is read through logs, which 0 does not have
+    F = field(13)
+    with pytest.raises(ValueError):
+        slice_eval(F, 0)
+    with pytest.raises(ValueError):
+        slice_eval(F, 4, np.array([0, 3, 9]))
 
 
 def test_exceptional_pair_raises():
@@ -143,14 +155,40 @@ def test_sigma_d_matches_method_c(q, sigma_small):
         assert d == sigma_small[q]
 
 
-def test_sigma_d_matches_full_scan():
+def test_sigma_d_matches_full_scan(monkeypatch):
     # the full scan over every pair of every slice, kept here as the oracle
-    # for the orbit-weighted count
+    # for the orbit-weighted count; D runs at the shipped block size and in
+    # blocks of 2 and 3 slices, whose widths differ by up to two
     for q in odd_prime_powers(3, 400):
         F = field(q)
         squares = [c for c in range(2, q) if F.chi(c) == 1]
         full = sum(slice_eval(F, c).t_count for c in squares)
         assert sigma_count_D(F) == full, q
+        widest = max((hi - lo for _, lo, hi in orbit_slices(F)[2]), default=1)
+        for rows in (2, 3):
+            monkeypatch.setattr(charside, "BLOCK_DIGITS", rows * F.k * widest)
+            assert sigma_count_D(F) == full, (q, rows)
+        monkeypatch.undo()
+
+
+def test_slice_polys_fit_the_sum_lookup():
+    # _slice_chars sums each entry's monomials unreduced from tiled log rows
+    for poly in SLICE_POLYS.values():
+        assert sum(abs(a) for row in poly for a in row) <= SUM_TERMS
+        assert all(i + j <= LOG_DIGIT_TILES for i, row in enumerate(poly)
+                   for j, a in enumerate(row) if a)
+
+
+@pytest.mark.parametrize("q", [13, 27, 49, 125, 243, 1009])
+def test_slice_chars_match_horner(q):
+    # the Horner route through the specialised list, kept here as the oracle
+    F = field(q)
+    log = F.logs[0]
+    for c in map(int, charside._square_codes(F)):
+        X = slice_eval(F, c).xs
+        chars = charside._slice_chars(F, np.array([c]), log[X][None])
+        for got, p in zip(chars, slice_poly_list(F, c)[1:], strict=True):
+            assert np.array_equal(got[0], F.chi_table[poly_eval_vec(F, p, X)]), (c, p)
 
 
 def test_sigma_d_jobs_matches_serial():

@@ -5,12 +5,14 @@ import pytest
 from mnaq.cli import (
     EXIT_EXHAUSTED,
     EXIT_GUARD,
+    EXIT_INTERNAL,
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
     count_report,
     main,
 )
+from mnaq.errors import DivisionByZero, IrregularPair, NotInS, NotInSigma, ZeroPolynomial
 from mnaq.reports import DENSITY_HEADER, SigmaReport, density_row, rows_to_csv
 
 
@@ -106,6 +108,21 @@ def test_search_cross_check_failure_exit_code(capsys, monkeypatch):
     assert err.startswith("error: ") and "method C" in err
 
 
+@pytest.mark.parametrize("error", [DivisionByZero, NotInSigma, NotInS, IrregularPair,
+                                   ZeroPolynomial])
+def test_other_package_errors_exit_code(capsys, monkeypatch, error):
+    import mnaq.cli
+
+    def broken(*args, **kwargs):
+        raise error("forced")
+
+    monkeypatch.setattr(mnaq.cli, "count_report", broken)
+    code, out, err = run_cli(capsys, "count", "--q", "13")
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == "error: forced\n"
+
+
 def test_density_table_header_contract(capsys):
     code, out, _ = run_cli(capsys, "density-table", "--q", "13", "--q", "9")
     assert code == EXIT_OK
@@ -162,15 +179,21 @@ def test_slices_bad_c(capsys):
     assert code == EXIT_GUARD
 
 
-def test_count_d_independent_of_jobs(capsys):
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "61", "--method", "D"),
+    ("density-table", "--q", "61", "--q", "125", "--format", "json"),
+    ("verify", "--suite", "slices"),
+], ids=["count", "density-table", "verify-slices"])
+def test_outputs_independent_of_jobs(capsys, argv):
     outs = []
     for jobs in ("1", "2"):
-        code, out, _ = run_cli(capsys, "count", "--q", "61", "--method", "D",
-                               "--jobs", jobs)
+        code, out, _ = run_cli(capsys, *argv, "--jobs", jobs)
         assert code == EXIT_OK
-        payload = json.loads(out)
-        payload.pop("seconds")
-        outs.append(payload)
+        if argv[0] != "verify":  # seconds, the one field that may differ
+            out = json.loads(out)
+            for row in out if isinstance(out, list) else [out]:
+                row.pop("seconds")
+        outs.append(out)
     assert outs[0] == outs[1]
 
 

@@ -185,7 +185,7 @@ def test_ext_inv_lookup_matches_pow(q):
         assert v == F.pow(u, q - 2)
 
 
-@pytest.mark.parametrize("q", [13, 81, 243, 10007])
+@pytest.mark.parametrize("q", [13, 81, 243, 10007, 3**10])
 def test_vinv_matches_inv(q):
     F = field(q)
     inv = F.vinv(F.codes)

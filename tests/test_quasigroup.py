@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mnaq.errors import NotInS, NotInSigma, TooLarge
 from mnaq.quasigroup import (
@@ -164,3 +165,19 @@ def test_square_multiplier_is_not_swap_isomorphism():
         if not multiplier_is_isomorphism(F, pair, SigmaPair(pair.b, pair.a), z2)[0]
     ]
     assert failures
+
+
+@pytest.mark.parametrize("q", [10007, 3**7])
+def test_psi_phi_inverse_property(q):
+    F = field(q)
+    codes = st.integers(0, q - 1)
+    sigma = st.tuples(codes, codes).filter(lambda ab: is_sigma_pair(F, *ab))
+    s_pairs = st.tuples(codes, codes).filter(lambda xy: is_s_pair(F, *xy))
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(sigma, s_pairs)
+    def check(ab, xy):
+        assert phi_map(F, psi_map(F, SigmaPair(*ab))) == ab
+        assert psi_map(F, phi_map(F, SPair(*xy))) == xy
+
+    check()
