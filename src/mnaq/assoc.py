@@ -9,17 +9,20 @@ Four mutually cross-checking methods:
            (v free) plus u = 0, v in {1, zeta}, valid because solutions are
            closed under (u, v) |-> (c^2 u, c^2 v);
   C        per-class linear solve: fixing the sign pattern (i, j, r, s) of
-           (u, -v, psi(u)-v, u-v-psi(-v)) turns the equation into
-           (c_r c_i - c_s) u = (c_r - c_j - c_s + c_s c_j) v with
-           c_* in {a, b} chosen by bit, so each of the 16 classes needs O(1)
-           work except for a rare doubly-degenerate case that falls back to a
-           class-restricted scan.
+           (u, -v, psi(u)-v, u-v-psi(-v)) turns the equation into A u = B v,
+           A = c_r c_i - c_s, B = c_r - c_j - c_s(1 - c_j), c_* in {a, b} chosen
+           by bit.  With chi(u) = s_i (s_* = +1 for bit 0, -1 for bit 1) the
+           witness v = uA/B carries the class's signs exactly when
+           chi(-1)chi(A)chi(B)s_i = s_j, chi(c_i B - A)chi(B)s_i = s_r and
+           chi(B - (1 - c_j)A)chi(B)s_i = s_s: four characters per class and
+           no inverse.  sigma_count applies the rule with numpy to blocks of
+           pairs; the rare A = B = 0 falls back to a class-restricted scan.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,11 +32,11 @@ from .pool import chunked_map
 from .quasigroup import (
     SigmaPair,
     cayley_table,
-    enumerate_sigma,
     least_nonsquare,
     psi,
     psi_vec,
     qmul,
+    sigma_rows,
 )
 
 
@@ -252,9 +255,47 @@ def is_mna_C(F: Field, pair: SigmaPair) -> bool:
     return not any(class_nonempty_C(F, pair, cls, zeta) for cls in ALL_CLASSES)
 
 
+_MONOS = np.array([(m, n) for m in range(4) for n in range(4 - m)])  # a^m b^n
+
+
+def _poly(*terms: tuple[int, ...]) -> np.ndarray:
+    """Coefficients over _MONOS of the sum of the terms (sign, *bits), each sign
+    times the product of the c_bit, c_0 = a and c_1 = b."""
+    return sum(sign * (_MONOS == (bits.count(0), bits.count(1))).all(axis=1)
+               for sign, *bits in terms).astype(np.int16)
+
+
+# the distinct polynomials among A, B, c_i B - A and B - (1 - c_j) A of the classes,
+# and the indices of each class's four
+_C_POLYS, _C_INDEX = np.unique(np.reshape([
+    [_poly((1, r, i), (-1, s)), _poly((1, r), (-1, j), (-1, s), (1, s, j)),
+     _poly((1, s), (-1, i, j), (-1, i, s), (1, i, s, j)),
+     _poly((1, r), (-1, j), (-1, r, i), (1, r, i, j))] for i, j, r, s in ALL_CLASSES
+], (64, -1)), axis=0, return_inverse=True)
+
+
+def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(16, len(a)) bool: row 8i+4j+2r+s is class_nonempty_C at the pairs (a, b),
+    codes nonzero, by the four-character rule, each polynomial a signed sum of
+    monomial columns of Field.log_digits; where A = B = 0 the scalar rule decides."""
+    digits, zero, _ = F.log_digits
+    log = F.logs[0]
+    mono = np.take(digits, _MONOS[:, :1] * log[a] + _MONOS[:, 1:] * log[b], axis=1)
+    chis = F.chi_of_sum(zero + np.einsum("pm,kmn->kpn", _C_POLYS.astype(digits.dtype), mono))
+    cA, cB, cX, cY = chis[_C_INDEX.reshape(16, 4).T]
+    s_i, s_j, s_r, s_s = 1 - 2 * np.array(ALL_CLASSES, dtype=np.int8).T[..., None]
+    holds = ((F.chi(F.neg(1)) * cA * cB * s_i == s_j) & (cX * cB * s_i == s_r)
+             & (cY * cB * s_i == s_s))
+    for c, k in zip(*np.divmod(np.flatnonzero((cA == 0) & (cB == 0)), len(a))):
+        holds[c, k] = class_nonempty_C(F, SigmaPair(int(a[k]), int(b[k])), ALL_CLASSES[c])
+    return holds
+
+
 # ----------------------------------------------------------------------
 # sigma(q)
 # ----------------------------------------------------------------------
+
+PAIR_BLOCK = 2048  # pairs per block of sigma_count (about a quarter of its a-rows' cells)
 
 _METHOD_GUARDS = {
     "A": A_COUNT_LIMIT,
@@ -269,16 +310,19 @@ def _is_mna(F: Field, pair: SigmaPair, method: str, force: bool) -> bool:
         return is_mna_A(F, pair, force=force)
     if method == "B":
         return is_mna_B(F, pair)
-    if method == "Bscaled":
-        return is_mna_Bscaled(F, pair)
+    return is_mna_Bscaled(F, pair)
+
+
+def _count_chunk(args: tuple[Field, str, bool, bool, Sequence]) -> int:
+    """MNA pairs of a chunk of Sigma's a-rows (rows) or of pairs, block by block."""
+    F, method, force, rows, items = args
+    step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
+    blocks = (sigma_rows(F, items[s:s + step]) if rows else np.array(items[s:s + step]).T
+              for s in range(0, len(items), step))
     if method == "C":
-        return is_mna_C(F, pair)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _count_chunk(args: tuple[Field, str, bool, list[SigmaPair]]) -> int:
-    F, method, force, pairs = args
-    return sum(1 for pair in pairs if _is_mna(F, pair, method, force))
+        return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)
+    return sum(_is_mna(F, SigmaPair(*p), method, force)
+               for a, b in blocks for p in zip(a.tolist(), b.tolist()))
 
 
 def sigma_count(
@@ -294,5 +338,5 @@ def sigma_count(
         raise ValueError(f"unknown method {method!r}")
     if guard is not None and F.q > guard and not force:
         raise TooLarge(f"method {method} guarded to q <= {guard}")
-    plist = list(pairs) if pairs is not None else enumerate_sigma(F)
-    return sum(chunked_map(_count_chunk, (F, method, force), plist, jobs))
+    items = np.arange(2, F.q, dtype=np.int64) if pairs is None else list(pairs)
+    return sum(chunked_map(_count_chunk, (F, method, force, pairs is None), items, jobs))

@@ -5,6 +5,18 @@ from __future__ import annotations
 import multiprocessing
 from typing import Callable, Sequence
 
+_WORKER: tuple = ()  # (task, head), set in a forked worker only
+
+
+def _start_worker(*worker) -> None:
+    global _WORKER
+    _WORKER = worker
+
+
+def _run_chunk(chunk: Sequence) -> object:
+    task, head = _WORKER
+    return task((*head, chunk))
+
 
 def chunked_map(task: Callable[[tuple], object], head: tuple, items: Sequence,
                 jobs: int) -> list:
@@ -12,11 +24,11 @@ def chunked_map(task: Callable[[tuple], object], head: tuple, items: Sequence,
 
     items is split into 4*jobs chunks for a fork pool of jobs workers; with
     jobs <= 1 or fewer than 4*jobs items one chunk holding all of items runs
-    inline.  task must be a module-level function so that it pickles.
+    inline.  A worker inherits task and head when it is forked; only chunks pickle.
     """
     if jobs <= 1 or len(items) < 4 * jobs:
         return [task((*head, items))]
     size = -(-len(items) // (4 * jobs))
-    tasks = [(*head, items[i : i + size]) for i in range(0, len(items), size)]
-    with multiprocessing.get_context("fork").Pool(jobs) as pool:
-        return pool.map(task, tasks)
+    chunks = [items[i : i + size] for i in range(0, len(items), size)]
+    with multiprocessing.get_context("fork").Pool(jobs, _start_worker, (task, head)) as pool:
+        return pool.map(_run_chunk, chunks)

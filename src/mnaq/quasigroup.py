@@ -86,17 +86,21 @@ def phi_map(F: Field, sp: SPair) -> SigmaPair:
     return SigmaPair(a, b)
 
 
-def enumerate_sigma(F: Field) -> list[SigmaPair]:
-    """All of Sigma in ascending (code(a), code(b)) order."""
-    q = F.q
-    codes = np.arange(2, q, dtype=np.int64)
-    A = codes[:, None]
+def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a, b): the pairs of Sigma whose a is in rows (ascending), in that order."""
+    codes = np.arange(2, F.q, dtype=np.int64)
+    A = rows[:, None]
     B = codes[None, :]
     mask = A != B
     mask &= F.chi_table[F.vmul(A, B)] == 1
     mask &= F.chi_table[F.vmul(F.vsub(1, A), F.vsub(1, B))] == 1
-    ia, ib = np.nonzero(mask)
-    return [SigmaPair(int(a), int(b)) for a, b in zip(codes[ia], codes[ib])]
+    ia, ib = np.divmod(np.flatnonzero(mask), len(codes))
+    return rows[ia], codes[ib]
+
+
+def enumerate_sigma(F: Field) -> list[SigmaPair]:
+    """All of Sigma in ascending (code(a), code(b)) order."""
+    return [SigmaPair(int(a), int(b)) for a, b in zip(*sigma_rows(F, np.arange(2, F.q)))]
 
 
 def enumerate_S(F: Field) -> list[SPair]:

@@ -202,3 +202,16 @@ def test_criterion_11_regression_freeze(sigma_small):
     report(11, True,
            f"sigma(q) for q in {sorted(sigma_small)} still equals the frozen "
            f"first-build values {list(sigma_small.values())}")
+
+
+def test_criterion_12_method_c_witness():
+    # method C counts on the parameter side, D on the square-pair side
+    start = time.perf_counter()
+    counts = {}
+    for q in (3001, 729):
+        F = field(q)
+        counts[q] = (sigma_count(F, "C"), sigma_count_D(F))
+    elapsed = time.perf_counter() - start
+    report(12, all(c == d for c, d in counts.values()),
+           "C = D at " + ", ".join(f"q={q} ({c} vs {d})" for q, (c, d) in counts.items())
+           + f" in {elapsed:.1f}s")

@@ -1,11 +1,17 @@
+import random
+
+import numpy as np
 import pytest
 
+from mnaq import assoc
 from mnaq.assoc import (
     ALL_CLASSES,
+    PAIR_BLOCK,
     ClassIndex,
     assoc_eq_holds,
     class_linear_coeffs,
     class_nonempty_C,
+    class_nonempty_vec,
     count_associative_triples,
     assoc_eq_grid,
     is_mna_A,
@@ -15,6 +21,7 @@ from mnaq.assoc import (
     sigma_count,
     solutions_E,
 )
+from mnaq.charside import sigma_count_D
 from mnaq.errors import TooLarge
 from mnaq.quasigroup import SigmaPair, enumerate_sigma, least_nonsquare
 
@@ -126,8 +133,46 @@ def test_sigma_count_guards():
 
 
 def test_sigma_count_jobs_matches_serial():
-    F = field(13)
-    assert sigma_count(F, "C", jobs=2) == sigma_count(F, "C")
+    # 125 and 243 give every pool chunk several a-rows
+    for q in (13, 125, 243):
+        F = field(q)
+        assert sigma_count(F, "C", jobs=2) == sigma_count(F, "C"), q
+
+
+# -- method C's count: the four-character rule against the scalar solve -------
+
+@pytest.mark.parametrize("q", [13, 25, 27, 49, 81, 121, 125, 243, 251])
+def test_class_nonempty_vec_matches_scalar_solve(q):
+    F = field(q)
+    zeta = least_nonsquare(F)
+    pairs = enumerate_sigma(F)
+    holds = class_nonempty_vec(F, *np.array(pairs).T)
+    for k, pair in enumerate(pairs):
+        for c, cls in enumerate(ALL_CLASSES):
+            assert holds[c, k] == class_nonempty_C(F, pair, cls, zeta), (pair, cls)
+
+
+@pytest.mark.parametrize("q, fallbacks", [(25, 2), (81, 4), (251, 2)])
+def test_sigma_count_C_runs_degenerate_fallback(monkeypatch, q, fallbacks):
+    calls = []
+    scalar = assoc.class_nonempty_C
+
+    def counted(F, pair, cls, zeta=None):
+        calls.append((pair, cls))
+        assert class_linear_coeffs(F, pair, cls) == (0, 0)
+        return scalar(F, pair, cls, zeta)
+
+    monkeypatch.setattr(assoc, "class_nonempty_C", counted)
+    F = field(q)
+    assert sigma_count(F, "C") == sigma_count_D(F)
+    assert len(calls) == fallbacks
+
+
+@pytest.mark.parametrize("q", [251, 243])
+def test_sigma_count_C_on_pairs_matches_scalar(q):
+    F = field(q)
+    subset = random.Random(q).sample(enumerate_sigma(F), PAIR_BLOCK + 500)
+    assert sigma_count(F, "C", pairs=subset) == sum(is_mna_C(F, p) for p in subset)
 
 
 # -- the per-class linear solve against the worked-out cases ------------------

@@ -181,9 +181,10 @@ def test_slices_bad_c(capsys):
 
 @pytest.mark.parametrize("argv", [
     ("count", "--q", "61", "--method", "D"),
+    ("count", "--q", "125", "--method", "C"),
     ("density-table", "--q", "61", "--q", "125", "--format", "json"),
     ("verify", "--suite", "slices"),
-], ids=["count", "density-table", "verify-slices"])
+], ids=["count", "count-C", "density-table", "verify-slices"])
 def test_outputs_independent_of_jobs(capsys, argv):
     outs = []
     for jobs in ("1", "2"):
