@@ -19,8 +19,11 @@ and one Field.chi_of_sum lookup, with no reduction mod q.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
-(at most four per field) are counted as non-MNA members of the union; this
-choice is cross-validated exactly against the parameter-side method C.
+(at most four per field) need no rule of their own: they lie in the union.
+At such a pair xy = 1, and either x - y = 1, 1 - y = y^2 and 1 - x = -y, or
+x - y = -1, 1 - x = x^2 and 1 - y = -x.  As x and y are squares, this fixes
+chi(x - y), chi(1 - x) and chi(1 - y), and the fixed values meet the rule of
+class (0,0,0,0) when q = 1 mod 4 and of class (0,1,1,0) when q = 3 mod 4.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ class SliceEval:
     c: int
     xs: np.ndarray          # x values of the slice (squares outside {0,1,c})
     classes: np.ndarray     # shape (16, len(xs)): row 8i+4j+2r+s marks S_ij^rs
-    t_mask: np.ndarray      # True where (x, c) is regular and in no class
+    t_mask: np.ndarray      # True where (x, c) is in no class
     eps: np.ndarray         # chi(x - c)
     chi_1mx: np.ndarray     # chi(1 - x)
     chi_1my: int            # chi(1 - c)
@@ -173,14 +176,7 @@ def _evaluate(F: Field, cs: np.ndarray, LX: np.ndarray) -> tuple[np.ndarray, ...
         m[1] = (c1y * nd == 1) & (xmxymy == 1) & (nd * f4 == 1)
         m[5] = (xmxymy * xm1my == 1) & (g1 * nd * xm1my == 1) & (g4 * nd * xm1my == 1)
         m[10] = (ymxymx * ym1mx == 1) & (g2 * eps * ym1mx == 1) & (g3 * eps * ym1mx == 1)
-
-    # regularity failures count as members of the union
-    log = F.logs[0]
-    t = ~m.any(axis=0)
-    for b, c in enumerate(cs.tolist()):
-        for x in _irregular_xs(F, c):
-            t[b] &= LX[b] != log[x]
-    return m, t, eps, c1x, c1y, np.stack([f1, f2, f3, f4])
+    return m, ~m.any(axis=0), eps, c1x, c1y, np.stack([f1, f2, f3, f4])
 
 
 def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -67,7 +67,6 @@ def count_report(
     method: str,
     jobs: int = 1,
     force: bool = False,
-    seed: int | None = None,
     time_fn: Callable[[], float] = time.perf_counter,
 ) -> SigmaReport:
     """Count sigma(q) by the chosen method and wrap it in a report."""
@@ -78,9 +77,7 @@ def count_report(
     else:
         sigma = sigma_count(F, method, jobs=jobs, force=force)
     seconds = time_fn() - start
-    return SigmaReport.build(
-        q, sigma_cardinality(q), sigma, method, round(seconds, 3), seed
-    )
+    return SigmaReport.build(q, sigma_cardinality(q), sigma, method, round(seconds, 3))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:

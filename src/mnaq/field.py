@@ -8,12 +8,14 @@ always the lexicographically least monic irreducible of degree k over F_p
 (coefficients compared constant term first), which makes element codes
 reproducible across implementations.
 
-An extension field multiplies only through log/antilog tables keyed to the
-least multiplicative generator g by code, built with the field from one k x k
-matrix over F_p, "multiply by g".  The quadratic character chi maps nonzero
-squares to +1, nonsquares to -1 and 0 to 0; on an extension field it is the
-parity of the log.  A prime field keeps % arithmetic, marks chi at u*u for
-every nonzero u, and builds its log tables on first use.
+An extension field has one addition rule: add, neg, sub and their vector forms
+run one base-p digitwise routine, on codes and int64 arrays alike.  Beside it,
+the only multiply is through log/antilog tables keyed to the least multiplicative
+generator g by code, built with the field from one k x k matrix over F_p,
+"multiply by g".  The quadratic character chi maps nonzero squares to +1,
+nonsquares to -1 and 0 to 0; on an extension field it is the parity of the log.
+A prime field keeps % arithmetic, marks chi at u*u for every nonzero u, and
+builds its log tables on first use.
 """
 
 from __future__ import annotations
@@ -136,7 +138,7 @@ class Field:
         self.p = p
         self.k = k
         self.modulus = modulus
-        self._logs = None if k == 1 else read_only(*self._log_tables())
+        self._places = tuple(p**i for i in range(k))  # place values of the digits
         self.chi_table, self.sqrt_table = read_only(*self._build_chi())
 
     def __reduce__(self):
@@ -147,6 +149,7 @@ class Field:
 
     def _build_chi(self) -> tuple[np.ndarray, np.ndarray]:
         q = self.q
+        antilog = self.logs[1] if self.k > 1 else None  # first: a lower peak memory
         chi = np.full(q, -1, dtype=np.int8)
         chi[0] = 0
         sqrt = np.zeros(q, dtype=np.int64)
@@ -158,7 +161,6 @@ class Field:
             # roots largest-first and the least root wins
             sqrt[sq[::-1]] = u[::-1]
         else:
-            antilog = self._logs[1]
             half = (q - 1) // 2
             chi[antilog[::2]] = 1
             # the roots of g^(2e) are g^e and g^(e+(q-1)/2)
@@ -225,35 +227,26 @@ class Field:
         log[antilog] = np.arange(q - 1)
         return log, antilog
 
+    # -- addition, on codes or int64 arrays ----------------------------------
+    # No % here sees a negative operand: numpy's % is slower on mixed signs.
+
+    def _digitwise(self, u, v, s: int):
+        """u + s*v (s = +1 or -1) digit by digit in base p; u + q has u's digits."""
+        p, out, u = self.p, 0, u + self.q
+        for place in self._places:
+            out += (u // place + s * (v // place)) % p * place
+        return out
+
+    def add(self, u, v):
+        return (u + v) % self.q if self.k == 1 else self._digitwise(u, v, 1)
+
+    def neg(self, u):
+        return (self.q - u) % self.q if self.k == 1 else self._digitwise(0, u, -1)
+
+    def sub(self, u, v):
+        return (u + self.q - v) % self.q if self.k == 1 else self._digitwise(u, v, -1)
+
     # -- scalar element arithmetic (codes in [0, q)) ---------------------------
-
-    def add(self, u: int, v: int) -> int:
-        if self.k == 1:
-            return (u + v) % self.q
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((u + v) % p) * mult
-            u //= p
-            v //= p
-            mult *= p
-        return out
-
-    def neg(self, u: int) -> int:
-        if self.k == 1:
-            return (-u) % self.q
-        p = self.p
-        out = 0
-        mult = 1
-        for _ in range(self.k):
-            out += ((-u) % p) * mult
-            u //= p
-            mult *= p
-        return out
-
-    def sub(self, u: int, v: int) -> int:
-        return self.add(u, self.neg(v))
 
     def mul(self, u: int, v: int) -> int:
         if self.k == 1:
@@ -300,13 +293,11 @@ class Field:
             raise ValueError(f"{u} is not a square in F_{self.q}")
         return int(self.sqrt_table[u])
 
-    @property
+    @cached_property
     def logs(self) -> tuple[np.ndarray, np.ndarray]:
         """(log, antilog) for the least multiplicative generator by code; built
         with the field on an extension field, on first use on a prime field."""
-        if self._logs is None:
-            self._logs = read_only(*self._log_tables())
-        return self._logs
+        return read_only(*self._log_tables())
 
     # -- vectorized arithmetic on int64 code arrays ----------------------------
 
@@ -315,47 +306,21 @@ class Field:
         return np.arange(self.q, dtype=np.int64)
 
     def vadd(self, U, V) -> np.ndarray:
-        if self.k == 1:
-            return (np.asarray(U, dtype=np.int64) + V) % self.q
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        out = np.zeros(np.broadcast(U, V).shape, dtype=np.int64)
-        p = self.p
-        mult = 1
-        for _ in range(self.k):
-            out += ((U + V) % p) * mult
-            U = U // p
-            V = V // p
-            mult *= p
-        return out
+        return self.add(np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64))
 
     def vneg(self, U) -> np.ndarray:
-        if self.k == 1:
-            return (-np.asarray(U, dtype=np.int64)) % self.q
-        U = np.asarray(U, dtype=np.int64)
-        out = np.zeros(U.shape, dtype=np.int64)
-        p = self.p
-        mult = 1
-        for _ in range(self.k):
-            out += ((-U) % p) * mult
-            U = U // p
-            mult *= p
-        return out
+        return self.neg(np.asarray(U, dtype=np.int64))
 
     def vsub(self, U, V) -> np.ndarray:
-        return self.vadd(U, self.vneg(np.asarray(V, dtype=np.int64)))
+        return self.sub(np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64))
 
     def vmul(self, U, V) -> np.ndarray:
+        U, V = np.asarray(U, dtype=np.int64), np.asarray(V, dtype=np.int64)
         if self.k == 1:
-            return (np.asarray(U, dtype=np.int64) * V) % self.q
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        U, V = np.broadcast_arrays(U, V)
+            return U * V % self.q
         log, antilog = self.logs
-        out = np.zeros(U.shape, dtype=np.int64)
-        nz = (U != 0) & (V != 0)
-        out[nz] = antilog[(log[U[nz]] + log[V[nz]]) % (self.q - 1)]
-        return out
+        # log[0] = -1 is a valid index; np.where puts 0 there
+        return np.where((U == 0) | (V == 0), 0, antilog[(log[U] + log[V]) % (self.q - 1)])
 
     def vinv(self, U) -> np.ndarray:
         """Elementwise inverse by one log lookup, and 0 at 0."""

@@ -61,7 +61,6 @@ class SigmaReport:
     bound_slack: float
     sigma_count_method: str
     seconds: float
-    seed: int | None = None
 
     @classmethod
     def build(
@@ -71,7 +70,6 @@ class SigmaReport:
         sigma: int,
         method: str,
         seconds: float,
-        seed: int | None = None,
     ) -> "SigmaReport":
         density = sigma / (q * q)
         gap = abs(Fraction(sigma, q * q) - limit_constant(q))
@@ -86,14 +84,10 @@ class SigmaReport:
             bound_slack=density_bound_slack(q, sigma),
             sigma_count_method=method,
             seconds=seconds,
-            seed=seed,
         )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        if self.seed is None:
-            del d["seed"]
-        return d
+        return asdict(self)
 
 
 def to_json(obj: dict | list) -> str:

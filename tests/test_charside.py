@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from mnaq import charside
+from mnaq import assoc, charside
 from mnaq.assoc import ALL_CLASSES, solutions_E
 from mnaq.charside import (
     is_regular_pair,
@@ -20,6 +22,7 @@ from mnaq.errors import BadSliceParam, IrregularPair, NotInS
 from mnaq.field import LOG_DIGIT_TILES, SUM_TERMS, odd_prime_powers
 from mnaq.gfpoly import poly_eval_vec
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
+from mnaq.reports import LIMIT_MOD1, LIMIT_MOD3
 from mnaq.suites import membership_vs_e_side
 from mnaq.weil import SLICE_POLYS, slice_param_admissible, slice_poly_list, table_eval
 
@@ -92,15 +95,20 @@ def test_exceptional_pair_raises():
         s_class_member(F, exc[0], (0, 0, 0, 0))
 
 
-@pytest.mark.parametrize("q", [11, 13, 59, 61])
+@pytest.mark.parametrize("q", [11, 13, 59, 61, 25, 121, 1331])
 def test_exceptional_pairs_limited_and_in_union(q):
     F = field(q)
     exc = exceptional_pairs(F)
     assert len(exc) <= 4
+    assert exc or q in (13, 61)
     for sp in exc:
         assert not is_regular_pair(F, *sp)
         # counted as non-MNA: the parameter side must agree
         assert not solutions_E(F, phi_map(F, sp)).is_empty
+        # D needs no special case: the fixed characters there meet the rule of
+        # class (0,0,0,0) when q = 1 mod 4 and of (0,1,1,0) when q = 3 mod 4
+        x, y = sp
+        assert slice_eval(F, y, np.array([x])).classes[0 if q % 4 == 1 else 6, 0], sp
 
 
 @pytest.mark.parametrize("q", [13, 17, 19, 23])
@@ -177,6 +185,27 @@ def test_slice_polys_fit_the_sum_lookup():
         assert sum(abs(a) for row in poly for a in row) <= SUM_TERMS
         assert all(i + j <= LOG_DIGIT_TILES for i, row in enumerate(poly)
                    for j, a in enumerate(row) if a)
+    # so does method C's assoc.class_nonempty_vec, over the monomials a^m b^n
+    terms = np.abs(assoc._C_POLYS).sum(axis=1)
+    degree = (assoc._C_POLYS != 0) * assoc._MONOS.sum(axis=1)
+    assert (terms.max(), degree.max()) == (4, 3)
+    assert terms.max() <= SUM_TERMS and degree.max() <= LOG_DIGIT_TILES
+
+
+@pytest.mark.parametrize("q", [11, 13, 19, 29])
+def test_limit_constant_is_the_share_of_the_sign_cube_in_t(q, monkeypatch):
+    # the 14 characters of _slice_chars and chi(1 - y) as 15 free signs: the
+    # share of sign vectors that D's rules leave in T, times 1/4 for x and y
+    # being squares, is the paper's limit constant
+    cube = 1 - 2 * ((np.arange(2**14) >> np.arange(14)[:, None]) & 1).astype(np.int8)
+    monkeypatch.setattr(charside, "_slice_chars",
+                        lambda F, cs, LX: [np.broadcast_to(c, LX.shape) for c in cube])
+    F = field(q)
+    cs = np.array([next(c for c in range(2, q) if F.chi(F.sub(1, c)) == s)
+                   for s in (1, -1)])
+    n = int(charside._evaluate(F, cs, np.zeros((2, 2**14), dtype=np.int32))[1].sum())
+    assert n == (3812 if q % 4 == 1 else 1650)
+    assert Fraction(n, 2**17) == (LIMIT_MOD1 if q % 4 == 1 else LIMIT_MOD3)
 
 
 @pytest.mark.parametrize("q", [13, 27, 49, 125, 243, 1009])

@@ -154,6 +154,54 @@ def test_ext_scalar_properties(q):
     check()
 
 
+def digit_oracle(F, u, v, s):
+    """u + s*v (s = +1 or -1) written out: codes to base-p digit lists, the
+    digits added or subtracted mod p, and back to a code."""
+    du, dv = ([w // F.p**i % F.p for i in range(F.k)] for w in (u, v))
+    return sum((a + s * b) % F.p * F.p**i for i, (a, b) in enumerate(zip(du, dv)))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 125])
+def test_addition_matches_digit_oracle(q):
+    F = field(q)
+    add, sub = (np.array([[digit_oracle(F, u, v, s) for v in range(q)] for u in range(q)])
+                for s in (1, -1))
+    neg = sub[0]
+    U, V = F.codes[:, None], F.codes[None, :]
+    assert (F.vadd(U, V) == add).all() and (F.add(U, V) == add).all()
+    assert (F.vsub(U, V) == sub).all() and (F.sub(U, V) == sub).all()
+    assert (F.vneg(F.codes) == neg).all() and (F.neg(F.codes) == neg).all()
+    for u in range(q):
+        assert F.neg(u) == neg[u]
+        for v in range(q):
+            assert F.add(u, v) == add[u, v] and F.sub(u, v) == sub[u, v]
+
+
+@pytest.mark.parametrize("q", [13, 27, 125])
+def test_arithmetic_input_kinds(q):
+    F = field(q)
+    u, v = q - 2, 5
+    want = {"add": digit_oracle(F, u, v, 1), "sub": digit_oracle(F, u, v, -1),
+            "neg": digit_oracle(F, 0, u, -1)}
+    # Python ints come back as Python ints, int64 scalars as equal numbers
+    for a, b in ((u, v), (np.int64(u), np.int64(v))):
+        got = {"add": F.add(a, b), "sub": F.sub(a, b), "neg": F.neg(a)}
+        assert got == want
+        assert all(type(g) is int for g in got.values()) == isinstance(a, int)
+    # broadcasting: (n, 1) with (1, m), a 0-d array with a 1-d one, an int with an array
+    col, row = F.codes[:, None], F.codes[None, :7]
+    grid = [[digit_oracle(F, a, b, 1) for b in range(7)] for a in range(q)]
+    assert F.vadd(col, row).tolist() == F.add(col, row).tolist() == grid
+    line = [digit_oracle(F, u, b, -1) for b in range(q)]
+    assert F.vsub(np.array(u), F.codes).tolist() == F.vsub(u, F.codes).tolist() == line
+    assert F.sub(u, F.codes).tolist() == line
+    assert F.vneg(F.codes[:, None]).shape == (q, 1)
+    # vmul with a zero on either side
+    assert not F.vmul(0, F.codes).any() and not F.vmul(F.codes, 0).any()
+    prods = F.vmul(col, F.codes[None, :])
+    assert prods.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
+
+
 @pytest.mark.parametrize("q", PROPERTY_FIELDS)
 def test_ext_vector_ops_match_scalar_property(q):
     F = field(q)
@@ -167,6 +215,8 @@ def test_ext_vector_ops_match_scalar_property(q):
         for i, (u, v) in enumerate(pairs):
             want = [F.add(u, v), F.sub(u, v), F.neg(u), F.mul(u, v), F.inv(u) if u else 0]
             assert got[:, i].tolist() == want
+            assert want[:3] == [digit_oracle(F, a, b, s) for a, b, s in
+                                ((u, v, 1), (u, v, -1), (0, u, -1))]
 
     check()
 
