@@ -8,15 +8,16 @@ Four mutually cross-checking methods:
   Bscaled  the same scan restricted to scaling representatives u in {1, zeta}
            (v free) plus u = 0, v in {1, zeta}, valid because solutions are
            closed under (u, v) |-> (c^2 u, c^2 v);
-  C        per-class linear solve: fixing the sign pattern (i, j, r, s) of
-           (u, -v, psi(u)-v, u-v-psi(-v)) turns the equation into A u = B v,
-           A = c_r c_i - c_s, B = c_r - c_j - c_s(1 - c_j), c_* in {a, b} chosen
-           by bit.  With chi(u) = s_i (s_* = +1 for bit 0, -1 for bit 1) the
-           witness v = uA/B carries the class's signs exactly when
-           chi(-1)chi(A)chi(B)s_i = s_j, chi(c_i B - A)chi(B)s_i = s_r and
-           chi(B - (1 - c_j)A)chi(B)s_i = s_s: four characters per class and
-           no inverse.  sigma_count applies the rule with numpy to blocks of
-           pairs; the rare A = B = 0 falls back to a class-restricted scan.
+  C        the four-character rule, derived from a per-class linear solve:
+           fixing the sign pattern (i, j, r, s) of (u, -v, psi(u)-v, u-v-psi(-v))
+           turns the equation into A u = B v, A = c_r c_i - c_s,
+           B = c_r - c_j - c_s(1 - c_j), c_* in {a, b} chosen by bit.  With
+           chi(u) = s_i (s_* = +1 for bit 0, -1 for bit 1) the witness v = uA/B
+           carries the class's signs exactly when chi(-1)chi(A)chi(B)s_i = s_j,
+           chi(c_i B - A)chi(B)s_i = s_r and chi(B - (1 - c_j)A)chi(B)s_i = s_s:
+           four characters per class and no inverse.  class_nonempty_vec applies
+           the rule with numpy to blocks of pairs and is_mna_C is its one-pair
+           view; the rare A = B = 0 falls back to a scan over v.
 """
 
 from __future__ import annotations
@@ -26,12 +27,13 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import TooLarge, VerificationFailure
+from .errors import NotInSigma, TooLarge, VerificationFailure
 from .field import Field
 from .pool import chunked_map
 from .quasigroup import (
     SigmaPair,
     cayley_table,
+    is_sigma_pair,
     least_nonsquare,
     psi,
     psi_vec,
@@ -189,72 +191,6 @@ def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
 # Method C
 # ----------------------------------------------------------------------
 
-def class_linear_coeffs(F: Field, pair: SigmaPair, cls: ClassIndex) -> tuple[int, int]:
-    """(A, B) with A*u = B*v the class-restricted associativity equation."""
-    a, b = pair
-    ci = a if cls.i == 0 else b
-    cj = a if cls.j == 0 else b
-    cr = a if cls.r == 0 else b
-    cs = a if cls.s == 0 else b
-    A = F.sub(F.mul(cr, ci), cs)
-    B = F.sub(F.sub(cr, cj), F.mul(cs, F.sub(1, cj)))
-    return A, B
-
-
-def _class_signs(cls: ClassIndex) -> tuple[int, int, int, int]:
-    return tuple(1 if bit == 0 else -1 for bit in cls)  # type: ignore[return-value]
-
-
-def _class_witness_ok(
-    F: Field, pair: SigmaPair, cls: ClassIndex, u: int, v: int
-) -> bool:
-    """Do (u, v) carry exactly the sign pattern of cls? Zeros always fail."""
-    a, b = pair
-    si, sj, sr, ss = _class_signs(cls)
-    if F.chi(u) != si:
-        return False
-    if F.chi(F.neg(v)) != sj:
-        return False
-    ci = a if cls.i == 0 else b
-    cj = a if cls.j == 0 else b
-    if F.chi(F.sub(F.mul(ci, u), v)) != sr:
-        return False
-    return F.chi(F.sub(u, F.mul(F.sub(1, cj), v))) == ss
-
-
-def class_nonempty_C(
-    F: Field, pair: SigmaPair, cls: ClassIndex, zeta: int | None = None
-) -> bool:
-    """Is E_ij^rs(a, b) nonempty, decided by the linear solve."""
-    if zeta is None:
-        zeta = least_nonsquare(F)
-    A, B = class_linear_coeffs(F, pair, cls)
-    if (A == 0) != (B == 0):
-        # the equation forces u = 0 or v = 0, excluded for solutions
-        return False
-    if A != 0:
-        ratio = F.div(A, B)  # v = (A/B) u
-        for u in (1, zeta):
-            v = F.mul(ratio, u)
-            if _class_witness_ok(F, pair, cls, u, v):
-                return True
-        return False
-    # A == B == 0: every (u, v) matching the sign pattern solves the equation
-    for u in (1, zeta):
-        for v in range(1, F.q):
-            if _class_witness_ok(F, pair, cls, u, v):
-                if not assoc_eq_holds(F, pair, u, v):
-                    raise VerificationFailure(
-                        f"class {tuple(cls)} witness ({u}, {v}) fails the equation at {pair}")
-                return True
-    return False
-
-
-def is_mna_C(F: Field, pair: SigmaPair) -> bool:
-    zeta = least_nonsquare(F)
-    return not any(class_nonempty_C(F, pair, cls, zeta) for cls in ALL_CLASSES)
-
-
 _MONOS = np.array([(m, n) for m in range(4) for n in range(4 - m)])  # a^m b^n
 
 
@@ -274,10 +210,31 @@ _C_POLYS, _C_INDEX = np.unique(np.reshape([
 ], (64, -1)), axis=0, return_inverse=True)
 
 
+def class_nonempty_degenerate(F: Field, pair: SigmaPair, cls: ClassIndex) -> bool:
+    """Is E_ij^rs(a, b) nonempty, for a class with A = B = 0?  Then every (u, v)
+    with the class's signs solves A u = B v, so scan v at the u in {1, zeta} with
+    chi(u) = s_i, and re-check the first witness on the equation."""
+    ci, cj = pair[cls.i], pair[cls.j]
+    u = 1 if cls.i == 0 else least_nonsquare(F)
+    V = F.codes[1:]
+    s_j, s_r, s_s = 1 - 2 * np.array(cls[1:])
+    chi = F.chi_table
+    ok = ((chi[F.vneg(V)] == s_j) & (chi[F.vsub(F.mul(ci, u), V)] == s_r)
+          & (chi[F.vsub(u, F.vmul(F.sub(1, cj), V))] == s_s))
+    if not ok.any():
+        return False
+    v = int(V[ok.argmax()])
+    if not assoc_eq_holds(F, pair, u, v):
+        raise VerificationFailure(
+            f"class {tuple(cls)} witness ({u}, {v}) fails the equation at {pair}")
+    return True
+
+
 def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(16, len(a)) bool: row 8i+4j+2r+s is class_nonempty_C at the pairs (a, b),
-    codes nonzero, by the four-character rule, each polynomial a signed sum of
-    monomial columns of Field.log_digits; where A = B = 0 the scalar rule decides."""
+    """(16, len(a)) bool: row 8i+4j+2r+s says whether E_ij^rs(a, b) is nonempty at
+    the pairs (a, b) of Sigma, by the four-character rule, each polynomial a signed
+    sum of monomial columns of Field.log_digits.  Exactly one of A, B zero forces
+    u = 0 or v = 0 and a zero character; where A = B = 0 the scan decides."""
     digits, zero, _ = F.log_digits
     log = F.logs[0]
     mono = np.take(digits, _MONOS[:, :1] * log[a] + _MONOS[:, 1:] * log[b], axis=1)
@@ -287,8 +244,16 @@ def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     holds = ((F.chi(F.neg(1)) * cA * cB * s_i == s_j) & (cX * cB * s_i == s_r)
              & (cY * cB * s_i == s_s))
     for c, k in zip(*np.divmod(np.flatnonzero((cA == 0) & (cB == 0)), len(a))):
-        holds[c, k] = class_nonempty_C(F, SigmaPair(int(a[k]), int(b[k])), ALL_CLASSES[c])
+        holds[c, k] = class_nonempty_degenerate(
+            F, SigmaPair(int(a[k]), int(b[k])), ALL_CLASSES[c])
     return holds
+
+
+def is_mna_C(F: Field, pair: SigmaPair) -> bool:
+    """Method C at one pair of Sigma: the one-column view of class_nonempty_vec."""
+    if not is_sigma_pair(F, *pair):
+        raise NotInSigma(f"{tuple(pair)} is not in Sigma(F_{F.q})")
+    return not class_nonempty_vec(F, *np.array([pair]).T).any()
 
 
 # ----------------------------------------------------------------------

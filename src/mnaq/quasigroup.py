@@ -91,9 +91,10 @@ def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.arange(2, F.q, dtype=np.int64)
     A = rows[:, None]
     B = codes[None, :]
-    mask = A != B
-    mask &= F.chi_table[F.vmul(A, B)] == 1
-    mask &= F.chi_table[F.vmul(F.vsub(1, A), F.vsub(1, B))] == 1
+    # a, b are outside {0, 1}, so chi(ab) = 1 iff chi(a) = chi(b), and so for 1-a, 1-b
+    chi = F.chi_table
+    chi_1m = chi[F.vsub(1, F.codes)]
+    mask = (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
     ia, ib = np.divmod(np.flatnonzero(mask), len(codes))
     return rows[ia], codes[ib]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .assoc import is_mna_Bscaled, is_mna_C
+from .assoc import is_mna_Bscaled, is_mna_C, sigma_count
 from .errors import SearchExhausted, VerificationFailure
 from .field import Field
 from .quasigroup import SigmaPair, is_sigma_pair, sigma_cardinality
@@ -82,11 +82,10 @@ def mna_sample_stats(F: Field, n_samples: int, seed: int) -> tuple[int, int]:
     """(hits, samples): MNA frequency over seeded Sigma samples, via method C."""
     rng = SplitMix64(seed)
     draw_budget = 64 * n_samples + 64
-    hits = 0
+    pairs = []
     for _ in range(n_samples):
         pair = sample_sigma_pair(F, rng, draw_budget)
         if pair is None:
             raise SearchExhausted(f"Sigma sampling failed at q={F.q}")
-        if is_mna_C(F, pair):
-            hits += 1
-    return hits, n_samples
+        pairs.append(pair)
+    return sigma_count(F, "C", pairs=pairs), n_samples

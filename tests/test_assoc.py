@@ -9,8 +9,6 @@ from mnaq.assoc import (
     PAIR_BLOCK,
     ClassIndex,
     assoc_eq_holds,
-    class_linear_coeffs,
-    class_nonempty_C,
     class_nonempty_vec,
     count_associative_triples,
     assoc_eq_grid,
@@ -22,8 +20,8 @@ from mnaq.assoc import (
     solutions_E,
 )
 from mnaq.charside import sigma_count_D
-from mnaq.errors import TooLarge
-from mnaq.quasigroup import SigmaPair, enumerate_sigma, least_nonsquare
+from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
+from mnaq.quasigroup import SigmaPair, enumerate_sigma
 
 from conftest import field
 
@@ -139,89 +137,135 @@ def test_sigma_count_jobs_matches_serial():
         assert sigma_count(F, "C", jobs=2) == sigma_count(F, "C"), q
 
 
-# -- method C's count: the four-character rule against the scalar solve -------
+def test_is_mna_C_rejects_pairs_outside_sigma():
+    F = field(13)
+    for pair in (SigmaPair(0, 5), SigmaPair(5, 5)):
+        with pytest.raises(NotInSigma):
+            is_mna_C(F, pair)
+
+
+# -- method C: the four-character rule against the equation ------------------
+
+def linear_coeffs(F, a, b, cls):
+    """(A, B) of the class at the pairs (a, b): A = c_r c_i - c_s and
+    B = c_r - c_j - c_s(1 - c_j), with c_0 = a and c_1 = b."""
+    ci, cj, cr, cs = ((a, b)[bit] for bit in cls)
+    return (F.vsub(F.vmul(cr, ci), cs),
+            F.vsub(F.vsub(cr, cj), F.vmul(cs, F.vsub(1, cj))))
+
 
 @pytest.mark.parametrize("q", [13, 25, 27, 49, 81, 121, 125, 243, 251])
 def test_class_nonempty_vec_matches_scalar_solve(q):
+    # every pair up to 49; above, a seeded sample plus every pair with A = B = 0
     F = field(q)
-    zeta = least_nonsquare(F)
     pairs = enumerate_sigma(F)
-    holds = class_nonempty_vec(F, *np.array(pairs).T)
-    for k, pair in enumerate(pairs):
+    a, b = np.array(pairs).T
+    holds = class_nonempty_vec(F, a, b)
+    n = len(pairs)
+    picked = set(range(n) if q < 81 else random.Random(q).sample(range(n), 200))
+    for cls in ALL_CLASSES:
+        A, B = linear_coeffs(F, a, b, cls)
+        picked.update(np.flatnonzero((A == 0) & (B == 0)).tolist())
+    for k in sorted(picked):
+        present = solutions_E(F, pairs[k]).classes_present()
         for c, cls in enumerate(ALL_CLASSES):
-            assert holds[c, k] == class_nonempty_C(F, pair, cls, zeta), (pair, cls)
+            assert holds[c, k] == (cls in present), (pairs[k], cls)
 
 
 @pytest.mark.parametrize("q, fallbacks", [(25, 2), (81, 4), (251, 2)])
 def test_sigma_count_C_runs_degenerate_fallback(monkeypatch, q, fallbacks):
     calls = []
-    scalar = assoc.class_nonempty_C
+    scan = assoc.class_nonempty_degenerate
 
-    def counted(F, pair, cls, zeta=None):
+    def counted(F, pair, cls):
         calls.append((pair, cls))
-        assert class_linear_coeffs(F, pair, cls) == (0, 0)
-        return scalar(F, pair, cls, zeta)
+        assert tuple(map(int, linear_coeffs(F, *pair, cls))) == (0, 0)
+        return scan(F, pair, cls)
 
-    monkeypatch.setattr(assoc, "class_nonempty_C", counted)
+    monkeypatch.setattr(assoc, "class_nonempty_degenerate", counted)
     F = field(q)
     assert sigma_count(F, "C") == sigma_count_D(F)
     assert len(calls) == fallbacks
+
+
+def test_degenerate_fallback_rechecks_its_witness(monkeypatch):
+    # at q = 25, class (0,1,0,1) of (2, 4) has A = B = 0 and a witness
+    F, pair, cls = field(25), SigmaPair(2, 4), ClassIndex(0, 1, 0, 1)
+    assert assoc.class_nonempty_degenerate(F, pair, cls)
+    monkeypatch.setattr(assoc, "assoc_eq_holds", lambda *args: False)
+    with pytest.raises(VerificationFailure):
+        assoc.class_nonempty_degenerate(F, pair, cls)
 
 
 @pytest.mark.parametrize("q", [251, 243])
 def test_sigma_count_C_on_pairs_matches_scalar(q):
     F = field(q)
     subset = random.Random(q).sample(enumerate_sigma(F), PAIR_BLOCK + 500)
-    assert sigma_count(F, "C", pairs=subset) == sum(is_mna_C(F, p) for p in subset)
+    assert sigma_count(F, "C", pairs=subset) == sum(is_mna_Bscaled(F, p) for p in subset)
 
 
-# -- the per-class linear solve against the worked-out cases ------------------
+# -- the per-class linear equation against the worked-out cases ---------------
+
+def poly_value(F, row, a, b):
+    """Value at (a, b) of method C's polynomial _C_POLYS[row] over the monomials a^m b^n."""
+    total = 0
+    for coef, (m, n) in zip(assoc._C_POLYS[row].tolist(), assoc._MONOS.tolist()):
+        total = F.add(total, F.mul(F.embed(coef), F.mul(F.pow(a, m), F.pow(b, n))))
+    return total
+
 
 def test_linear_coeffs_match_derivations():
     F = field(13)
+    rows = assoc._C_INDEX.reshape(16, 4)
+
+    def coeffs(pair, cls):
+        c = ALL_CLASSES.index(cls)
+        return poly_value(F, rows[c, 0], *pair), poly_value(F, rows[c, 1], *pair)
+
     for a, b in enumerate_sigma(F):
         pair = SigmaPair(a, b)
         # class (0,0,1,1): b(a-1) u = a(b-1) v
-        A, B = class_linear_coeffs(F, pair, ClassIndex(0, 0, 1, 1))
+        A, B = coeffs(pair, ClassIndex(0, 0, 1, 1))
         assert A == F.mul(b, F.sub(a, 1))
         assert B == F.mul(a, F.sub(b, 1))
         # class (0,1,0,1): (a^2 - b) u = (b^2 - 2b + a) v
-        A, B = class_linear_coeffs(F, pair, ClassIndex(0, 1, 0, 1))
+        A, B = coeffs(pair, ClassIndex(0, 1, 0, 1))
         assert A == F.sub(F.mul(a, a), b)
         assert B == F.add(F.sub(F.mul(b, b), F.add(b, b)), a)
         # class (0,1,1,0) forces u = v
-        A, B = class_linear_coeffs(F, pair, ClassIndex(0, 1, 1, 0))
+        A, B = coeffs(pair, ClassIndex(0, 1, 1, 0))
         assert A == B != 0
+
+
+def class_rows(F):
+    """class_nonempty_vec over all of Sigma, with the pairs."""
+    pairs = enumerate_sigma(F)
+    return pairs, class_nonempty_vec(F, *np.array(pairs).T)
 
 
 @pytest.mark.parametrize("q", [13, 17, 29])
 def test_empty_classes_when_minus_one_square(q):
     # classes (0,1,0,0) and (0,1,1,0) are empty for q = 1 mod 4
-    F = field(q)
-    zeta = least_nonsquare(F)
-    for pair in enumerate_sigma(F):
-        assert not class_nonempty_C(F, pair, ClassIndex(0, 1, 0, 0), zeta)
-        assert not class_nonempty_C(F, pair, ClassIndex(0, 1, 1, 0), zeta)
+    _, holds = class_rows(field(q))
+    for cls in (ClassIndex(0, 1, 0, 0), ClassIndex(0, 1, 1, 0)):
+        assert not holds[ALL_CLASSES.index(cls)].any()
 
 
 @pytest.mark.parametrize("q", [11, 19, 27])
 def test_empty_classes_when_minus_one_nonsquare(q):
     # classes (0,0,0,0) and (0,0,1,1) are empty for q = 3 mod 4
-    F = field(q)
-    zeta = least_nonsquare(F)
-    for pair in enumerate_sigma(F):
-        assert not class_nonempty_C(F, pair, ClassIndex(0, 0, 0, 0), zeta)
-        assert not class_nonempty_C(F, pair, ClassIndex(0, 0, 1, 1), zeta)
+    _, holds = class_rows(field(q))
+    for cls in (ClassIndex(0, 0, 0, 0), ClassIndex(0, 0, 1, 1)):
+        assert not holds[ALL_CLASSES.index(cls)].any()
 
 
 @pytest.mark.parametrize("q", [13, 19, 25, 27])
 def test_class_solver_agrees_with_scan(q):
     F = field(q)
-    zeta = least_nonsquare(F)
-    for pair in enumerate_sigma(F):
-        present = {tuple(c) for c in solutions_E(F, pair).classes_present()}
-        for cls in ALL_CLASSES:
-            assert class_nonempty_C(F, pair, cls, zeta) == (tuple(cls) in present)
+    pairs, holds = class_rows(F)
+    for k, pair in enumerate(pairs):
+        present = solutions_E(F, pair).classes_present()
+        assert [cls in present for cls in ALL_CLASSES] == holds[:, k].tolist(), pair
 
 
 def test_forced_value_class_0011():

@@ -32,7 +32,8 @@ def test_is_sigma_pair_edges():
     assert not is_sigma_pair(F, 5, 5)
 
 
-@pytest.mark.parametrize("q,count", [(13, 20), (11, 12), (9, 6)])
+@pytest.mark.parametrize(
+    "q,count", [(13, 20), (11, 12), (9, 6), (27, 132), (125, 3660), (243, 14280)])
 def test_sigma_counts(q, count):
     F = field(q)
     pairs = enumerate_sigma(F)
