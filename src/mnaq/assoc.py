@@ -38,6 +38,7 @@ from .quasigroup import (
     psi,
     psi_vec,
     qmul,
+    sigma_mask,
     sigma_rows,
 )
 
@@ -278,11 +279,20 @@ def _is_mna(F: Field, pair: SigmaPair, method: str, force: bool) -> bool:
     return is_mna_Bscaled(F, pair)
 
 
+def _sigma_block(F: Field, pairs: Sequence[SigmaPair]) -> np.ndarray:
+    """The pairs as rows (a, b) of codes, NotInSigma if one is outside Sigma."""
+    block = np.array(pairs, dtype=np.int64).T
+    bad = np.flatnonzero(~sigma_mask(F, *block))
+    if bad.size:
+        raise NotInSigma(f"{tuple(block[:, bad[0]].tolist())} is not in Sigma(F_{F.q})")
+    return block
+
+
 def _count_chunk(args: tuple[Field, str, bool, bool, Sequence]) -> int:
     """MNA pairs of a chunk of Sigma's a-rows (rows) or of pairs, block by block."""
     F, method, force, rows, items = args
     step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
-    blocks = (sigma_rows(F, items[s:s + step]) if rows else np.array(items[s:s + step]).T
+    blocks = (sigma_rows(F, items[s:s + step]) if rows else _sigma_block(F, items[s:s + step])
               for s in range(0, len(items), step))
     if method == "C":
         return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)

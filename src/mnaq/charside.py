@@ -1,10 +1,11 @@
 """Square-pair-side classification and the O(q^2) exact sigma counter.
 
 Membership of (x, y) in a class S_ij^rs is decided purely from quadratic
-characters of the polynomial family weil.SLICE_POLYS (one rule set per residue
-of q mod 4).  slice_eval applies the rules to a whole slice y = c and returns
-the sixteen class masks that sigma_count_D counts; s_class_member reads one
-entry of those masks, so checking membership checks the counting code.
+characters of the polynomial family weil.SLICE_POLYS: class_masks holds the
+rules (one set per residue of q mod 4) as a function of those signs alone.
+slice_eval applies them to a whole slice y = c, sigma_count_D to blocks of
+slices, and reports.limit_constant to every sign vector; s_class_member reads
+one entry of slice_eval's masks, so checking membership checks the counting code.
 Scanning y = c over squares gives sigma(q) in O(q^2) chi-table lookups; the
 same pass feeds the T-partition bookkeeping and the per-slice counters with
 their stated bounds.
@@ -37,10 +38,13 @@ from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
 from .field import Field, read_only
 from .pool import chunked_map
 from .quasigroup import SPair, is_s_pair
-from .weil import SLICE_POLYS, slice_param_admissible
+from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
 T_GRID_LIMIT = 512
 BLOCK_DIGITS = 1 << 13  # digits (rows x width x k) per block of sigma_count_D's slices
+# the signs the class rules read: chi of each SLICE_POLYS entry but the first
+# (chi(x) = 1 on squares), and chi(1 - y)
+CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
 
 
 def _irregular_xs(F: Field, y: int) -> list[int]:
@@ -84,16 +88,13 @@ def s_class_member(F: Field, sp: SPair, cls: tuple[int, int, int, int]) -> bool:
 
 @dataclass(frozen=True)
 class SliceEval:
-    """One y = c slice of S: its class masks, T mask and the characters reused later."""
+    """One y = c slice of S: its class masks, T mask and the characters they read."""
 
     c: int
     xs: np.ndarray          # x values of the slice (squares outside {0,1,c})
     classes: np.ndarray     # shape (16, len(xs)): row 8i+4j+2r+s marks S_ij^rs
     t_mask: np.ndarray      # True where (x, c) is in no class
-    eps: np.ndarray         # chi(x - c)
-    chi_1mx: np.ndarray     # chi(1 - x)
-    chi_1my: int            # chi(1 - c)
-    chi_f: np.ndarray       # shape (4, len(xs)): chi(f_j(x, c))
+    chars: dict[str, np.ndarray]  # the signs of CHAR_NAMES at (xs, c)
 
     @property
     def t_count(self) -> int:
@@ -112,44 +113,46 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
     X = xs[xs != c]
     if c == 0 or not X.all():
         raise ValueError("slice_eval takes nonzero codes")
-    m, t, eps, c1x, c1y, chi_f = _evaluate(F, np.array([c]), F.logs[0][X][None])
-    return SliceEval(c=c, xs=X, classes=m[:, 0], t_mask=t[0], eps=eps[0],
-                     chi_1mx=c1x[0], chi_1my=int(c1y[0, 0]), chi_f=chi_f[:, 0])
+    chars = {k: v[0] for k, v in _slice_chars(F, np.array([c]), F.logs[0][X][None]).items()}
+    m = class_masks(F.q % 4, chars)
+    return SliceEval(c=c, xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
 
 
-def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> list[np.ndarray]:
-    """chi of each SLICE_POLYS entry but the first (chi(x) = 1 on squares) at
-    (x, y) = (g^LX[b], cs[b]), summed from the log_digits columns of its monomials."""
+def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarray]:
+    """The CHAR_NAMES signs at (x, y) = (g^LX[b], cs[b]), each SLICE_POLYS entry
+    summed from the log_digits columns of its monomials ("1-y" has one column)."""
     digits, zero, _ = F.log_digits
     Lc = F.logs[0][cs][:, None].astype(LX.dtype)
     mono: dict[tuple[int, int], np.ndarray] = {}
-    chars = []
-    for poly in list(SLICE_POLYS.values())[1:]:
+    chars = {}
+    for name in CHAR_NAMES[:-1]:
         T = zero  # the x-free monomials come first, while T is one column wide
-        for i, row in enumerate(poly):
+        for i, row in enumerate(SLICE_POLYS[name]):
             for j, a in enumerate(row):
                 if (i, j) not in mono and a:
                     mono[i, j] = np.take(digits, i * LX + j * Lc, axis=1)
                 for _ in range(abs(a)):
                     T = T + mono[i, j] if a > 0 else T - mono[i, j]
-        chars.append(F.chi_of_sum(T))
+        chars[name] = F.chi_of_sum(T)
+    chars["1-y"] = F.chi_table[F.vsub(1, cs)][:, None]
     return chars
 
 
-def _evaluate(F: Field, cs: np.ndarray, LX: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(classes, t_mask, eps, chi_1mx, chi_1my, chi_f) of slice_eval with a row axis:
-    row b is the slice y = cs[b] at the x with logs LX[b]."""
-    (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4) = (
-        _slice_chars(F, cs, LX))
+def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
+    """The sixteen class masks, shape (16, ...): row 8i+4j+2r+s marks S_ij^rs.
+
+    chars maps CHAR_NAMES to sign arrays that broadcast together, at pairs of
+    squares (x, y) of a field of order q = mod4 mod 4; nothing else is read."""
+    (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4, c1y) = (
+        chars[k] for k in CHAR_NAMES)
     # the mirrored forms differ from the listed ones by chi(-1)
-    s_neg = F.chi(F.neg(1))
+    s_neg = 1 if mod4 == 1 else -1
     c1x = s_neg * xm1                                  # 1 - x
-    c1y = F.chi_table[F.vsub(1, cs)][:, None]          # 1 - y
     yp1mx, ym1mx = s_neg * xm1my, s_neg * xp1my        # y + 1 - x, y - 1 - x
     ypxymx, ymxymx = s_neg * xmxymy, s_neg * xpxymy    # y + xy - x, y - xy - x
 
-    m = np.zeros((16, *LX.shape), dtype=bool)
-    if F.q % 4 == 1:
+    m = np.zeros((16, *np.broadcast_shapes(*(v.shape for v in chars.values()))), dtype=bool)
+    if mod4 == 1:
         # the six (i, j) mixed classes not set here are empty
         m[0] = m[15] = (c1x == eps) & (c1y == eps)
         m[12] = (f1 == -eps) & (f2 == -eps)
@@ -176,7 +179,7 @@ def _evaluate(F: Field, cs: np.ndarray, LX: np.ndarray) -> tuple[np.ndarray, ...
         m[1] = (c1y * nd == 1) & (xmxymy == 1) & (nd * f4 == 1)
         m[5] = (xmxymy * xm1my == 1) & (g1 * nd * xm1my == 1) & (g4 * nd * xm1my == 1)
         m[10] = (ymxymx * ym1mx == 1) & (g2 * eps * ym1mx == 1) & (g3 * eps * ym1mx == 1)
-    return m, ~m.any(axis=0), eps, c1x, c1y, np.stack([f1, f2, f3, f4])
+    return m
 
 
 def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -210,7 +213,7 @@ def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
         b = slice(s, s + rows)
         cols = np.arange(width[b].max())
         LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
-        t = _evaluate(F, cs[b], LX)[1]
+        t = ~class_masks(F.q % 4, _slice_chars(F, cs[b], LX)).any(axis=0)
         t &= (cols < width[b, None]) & (LX != Lc[b, None])
         total += int(((weight[b, None] - 2 * (LX == Linv[b, None])) * t).sum())
     return total
@@ -228,18 +231,8 @@ def sigma_count_D(F: Field, jobs: int = 1) -> int:
 
 
 def slice_params(F: Field) -> list[int]:
-    """The c slice_counters accepts: squares outside {0, 1}, with chi(1 - c) = 1
-    when q = 3 mod 4."""
-    cs = _square_codes(F)
-    if F.q % 4 == 3:
-        cs = cs[F.chi_table[F.vsub(1, cs)] == 1]
-    return [int(c) for c in cs]
-
-
-def count_good_slice_params(F: Field) -> int:
-    """#{c : chi(c) = chi(1-c) = 1}; equals (q-3)/4 when q = 3 mod 4."""
-    sq = F.chi_table == 1
-    return int((sq & sq[F.vsub(1, F.codes)]).sum())
+    """The c slice_counters accepts, ascending; (q - 3)/4 of them when q = 3 mod 4."""
+    return np.flatnonzero(slice_param_ok(F, F.codes)).tolist()
 
 
 # ----------------------------------------------------------------------
@@ -260,14 +253,16 @@ class TPartitionReport:
         return not self.violations
 
 
-def t_pieces(mod4: int, t, eps, chi_1mx, chi_1my, chi_f) -> dict[str, np.ndarray]:
+def t_pieces(mod4: int, t, chars: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     """The pieces of the T partition, elementwise on slice vectors or (q, q) grids.
 
-    eps = chi(x - y), chi_1mx = chi(1 - x), chi_1my = chi(1 - y) and chi_f
-    stacks chi(f1..f4) on a leading axis.  For q = 1 mod 4, "rho" holds the code
-    8*b1 + 4*b2 + 2*b3 + b4 (b_j = [eps * chi(f_j) = +1]) on T where no f_j
-    vanishes, and -1 elsewhere.
+    chars holds the CHAR_NAMES signs class_masks reads ("x-1", "x-y", "1-y" and
+    f1..f4 are used).  For q = 1 mod 4, "rho" holds the code
+    8*b1 + 4*b2 + 2*b3 + b4 (b_j = [eps * chi(f_j) = +1], eps = chi(x - y)) on T
+    where no f_j vanishes, and -1 elsewhere.
     """
+    eps, chi_1my = chars["x-y"], chars["1-y"]
+    chi_1mx = chars["x-1"] if mod4 == 1 else -chars["x-1"]  # chi(-1) chi(x - 1)
     if mod4 == 3:
         t0 = t & (eps == -1)  # chi(y - x) = 1
         t0p = t & (eps == 1)
@@ -281,7 +276,7 @@ def t_pieces(mod4: int, t, eps, chi_1mx, chi_1my, chi_f) -> dict[str, np.ndarray
             "t11p": t0p & both1, "t1m1p": t0p & bothm, "t2p": t0p & x_p_y_m,
             "forbidden": t0 & x_p_y_m, "forbiddenp": t0p & x_m_y_p,
         }
-    rho = eps * chi_f
+    rho = eps * np.stack([chars[f"f{j}"] for j in range(1, 5)])
     code = 8 * (rho[0] > 0) + 4 * (rho[1] > 0) + 2 * (rho[2] > 0) + (rho[3] > 0)
     return {
         "t1": t & (chi_1mx == -eps) & (chi_1my == -eps),
@@ -306,7 +301,7 @@ def t_partition(F: Field) -> TPartitionReport:
     for c in map(int, xs):
         ev = slice_eval(F, c, xs)
         total += ev.t_count
-        pieces = t_pieces(mod4, ev.t_mask, ev.eps, ev.chi_1mx, ev.chi_1my, ev.chi_f)
+        pieces = t_pieces(mod4, ev.t_mask, ev.chars)
         for key in acc:
             acc[key] += int(pieces[key].sum())
         if mod4 == 1:
@@ -375,10 +370,6 @@ class SliceBound:
     def ok(self) -> bool:
         return abs(self.count - self.target) <= self.radius
 
-    @property
-    def slack(self) -> float:
-        return self.radius - abs(self.count - self.target)
-
 
 @dataclass(frozen=True)
 class SliceCounts:
@@ -396,15 +387,14 @@ class SliceCounts:
 
 def slice_counters(F: Field, c: int) -> SliceCounts:
     """Exact slice counts at y = c; bounds attached when c is admissible."""
-    if not (0 <= c < F.q) or c in (0, 1) or F.chi(c) != 1:
-        raise BadSliceParam(f"c={c} must be a square outside {{0, 1}}")
+    if not (0 <= c < F.q and slice_param_ok(F, c)):
+        raise BadSliceParam(f"c={c} must be a square outside {{0, 1}}, "
+                            "with chi(1-c) = 1 when q = 3 mod 4")
     mod4 = F.q % 4
-    if mod4 == 3 and F.chi(F.sub(1, c)) != 1:
-        raise BadSliceParam(f"c={c} needs chi(1-c) = 1 when q = 3 mod 4")
     q = F.q
     rq = math.sqrt(q)
     ev = slice_eval(F, c)
-    pieces = t_pieces(mod4, ev.t_mask, ev.eps, ev.chi_1mx, ev.chi_1my, ev.chi_f)
+    pieces = t_pieces(mod4, ev.t_mask, ev.chars)
     if mod4 == 3:
         targets = {
             "t2": (25 * q / 2**15, (rq + 1) * 165 / 2 + 21),

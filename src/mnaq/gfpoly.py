@@ -273,7 +273,7 @@ class Factorization:
         return out
 
 
-def factorize(F: Field, p: Poly, seed: int = FACTOR_SEED) -> Factorization:
+def factorize(F: Field, p: Poly) -> Factorization:
     """Complete factorization into monic irreducibles over F_q."""
     p = normalize(p)
     if not p:
@@ -282,7 +282,7 @@ def factorize(F: Field, p: Poly, seed: int = FACTOR_SEED) -> Factorization:
     f = monic(F, p)
     if degree(f) == 0:
         return Factorization(unit, ())
-    rng = SplitMix64(seed)
+    rng = SplitMix64(FACTOR_SEED)
     counts: dict[Poly, int] = {}
     for part, mult in squarefree_decomposition(F, f):
         for irr in _factor_squarefree(F, part, rng):

@@ -86,16 +86,19 @@ def phi_map(F: Field, sp: SPair) -> SigmaPair:
     return SigmaPair(a, b)
 
 
+def sigma_mask(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Membership in Sigma of (a, b) for code arrays A, B that broadcast together."""
+    # outside {0, 1}, chi(ab) = 1 iff chi(a) = chi(b), and so for 1-a, 1-b; a pair
+    # a != b that meets {0, 1} has chi(a) != chi(b) or chi(1-a) != chi(1-b)
+    chi = F.chi_table
+    chi_1m = chi[F.vsub(1, F.codes)]
+    return (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
+
+
 def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a, b): the pairs of Sigma whose a is in rows (ascending), in that order."""
     codes = np.arange(2, F.q, dtype=np.int64)
-    A = rows[:, None]
-    B = codes[None, :]
-    # a, b are outside {0, 1}, so chi(ab) = 1 iff chi(a) = chi(b), and so for 1-a, 1-b
-    chi = F.chi_table
-    chi_1m = chi[F.vsub(1, F.codes)]
-    mask = (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
-    ia, ib = np.divmod(np.flatnonzero(mask), len(codes))
+    ia, ib = np.divmod(np.flatnonzero(sigma_mask(F, rows[:, None], codes)), len(codes))
     return rows[ia], codes[ib]
 
 

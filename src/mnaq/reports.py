@@ -1,22 +1,23 @@
 """Report records and their CSV/JSON renderings.
 
-The density limit constants are kept as exact rationals (953/32768 for
-q = 1 mod 4 and 825/65536 for q = 3 mod 4) and rendered to six significant
-digits; every other numeric field is emitted with full float repr so CSV and
-JSON carry identical values.
+The density limit constants are exact rationals computed from the class rules
+(limit_constant) and rendered to six significant digits; every other numeric
+field is emitted with full float repr so CSV and JSON carry identical values.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
-LIMIT_MOD1 = Fraction(953, 32768)
-LIMIT_MOD3 = Fraction(825, 65536)
+import numpy as np
+
+from .charside import CHAR_NAMES, class_masks
 
 DENSITY_HEADER = (
     "q",
@@ -32,11 +33,20 @@ DENSITY_HEADER = (
 
 
 def limit_constant(q: int) -> Fraction:
-    return LIMIT_MOD1 if q % 4 == 1 else LIMIT_MOD3
+    """lim sigma(q)/q^2 over q of this residue mod 4 (the paper's alpha and beta):
+    the share of the sign cube {+-1}^CHAR_NAMES that class_masks leaves in T,
+    times 1/4 for x and y being squares."""
+    return _limit_of_residue(q % 4)
 
 
-def limit_rendered(q: int) -> float:
-    return float(f"{float(limit_constant(q)):.6g}")
+@functools.cache
+def _limit_of_residue(mod4: int) -> Fraction:
+    n = len(CHAR_NAMES)
+    # sign i runs along axis i of a (2,) * n grid, so each rule broadcasts over its own signs
+    cube = {name: np.array([1, -1], dtype=np.int8).reshape(tuple(shape))
+            for name, shape in zip(CHAR_NAMES, 1 + np.eye(n, dtype=int))}
+    in_t = ~class_masks(mod4, cube).any(axis=0)
+    return Fraction(int(in_t.sum()), 2**(n + 2))
 
 
 def density_bound_slack(q: int, sigma: int) -> float:
@@ -79,7 +89,7 @@ class SigmaReport:
             sigma_card=sigma_card,
             sigma=sigma,
             density=density,
-            limit=limit_rendered(q),
+            limit=float(f"{float(limit_constant(q)):.6g}"),
             abs_gap=float(gap),
             bound_slack=density_bound_slack(q, sigma),
             sigma_count_method=method,

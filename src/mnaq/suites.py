@@ -7,6 +7,7 @@ consult fixtures, so they stay an independent oracle for the library.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -24,7 +25,6 @@ from .charside import (
     slice_counters,
     slice_eval,
     slice_params,
-    count_good_slice_params,
     t_grid,
     t_partition,
     t_pieces,
@@ -85,13 +85,7 @@ class SuiteReport:
         }
 
 
-_FIELD_CACHE: dict[int, Field] = {}
-
-
-def _field(q: int) -> Field:
-    if q not in _FIELD_CACHE:
-        _FIELD_CACHE[q] = make_field(q)
-    return _FIELD_CACHE[q]
+_field = functools.cache(make_field)
 
 
 def suite_bijection(qmax: int, jobs: int = 1) -> SuiteReport:
@@ -331,14 +325,11 @@ def suite_slice_lists(qmax: int, jobs: int = 1) -> SuiteReport:
         nonzero_inadmissible = r.inadmissible_count - 1  # c = 0 always fails
         rep.add("avoided_at_most_51", q, nonzero_inadmissible <= 51,
                 f"{nonzero_inadmissible} nonzero c excluded")
+        n = r.inadmissible_slice_param_count
         if q % 4 == 3:
-            rep.add("good_slice_exclusions_at_most_22", q,
-                    r.inadmissible_good_slice_count <= 22,
-                    f"{r.inadmissible_good_slice_count}")
+            rep.add("good_slice_exclusions_at_most_22", q, n <= 22, f"{n}")
         else:
-            rep.add("square_exclusions_at_most_49", q,
-                    r.inadmissible_square_count <= 49,
-                    f"{r.inadmissible_square_count}")
+            rep.add("square_exclusions_at_most_49", q, n <= 49, f"{n}")
     return rep
 
 
@@ -383,7 +374,7 @@ def suite_partitions(qmax: int, jobs: int = 1) -> SuiteReport:
                 f"|T|={part.total}")
         if q % 4 == 3:
             rep.add("good_slice_count", q,
-                    count_good_slice_params(F) == (q - 3) // 4)
+                    len(slice_params(F)) == (q - 3) // 4)
     for q in odd_prime_powers(7, min(qmax, 49)):
         F = _field(q)
         ok = _partition_maps_hold(F)
@@ -395,11 +386,10 @@ def _partition_maps_hold(F: Field) -> bool:
     """Elementwise swap/inversion behaviour of the T partition pieces."""
     q = F.q
     X, Y = F.codes[:, None], F.codes[None, :]
-    g = {name: F.chi_table[table_eval(F, name, X, Y)]
-         for name in ("x-1", "x-y", "f1", "f2", "f3", "f4")}
-    c1x = F.chi(F.neg(1)) * g["x-1"]  # chi(1 - x)
-    chi_f = np.stack([g[f"f{j}"] for j in range(1, 5)])
-    m = t_pieces(q % 4, t_grid(F), g["x-y"], c1x, c1x.T, chi_f)
+    chars = {name: F.chi_table[table_eval(F, name, X, Y)]
+             for name in ("x-1", "x-y", "f1", "f2", "f3", "f4")}
+    chars["1-y"] = F.chi_table[F.vsub(1, Y)]
+    m = t_pieces(q % 4, t_grid(F), chars)
     inv_idx = F.vinv(F.codes)
 
     def inv_perm(mask: np.ndarray) -> np.ndarray:

@@ -96,12 +96,8 @@ class WeilCount:
     k: int
     total_degree: int
     bound: float
-    squarefree: bool | None
+    squarefree: bool
     within_bound: bool
-
-    @property
-    def holds(self) -> bool:
-        return self.squarefree is False or self.within_bound
 
 
 def count_sign_pattern(
@@ -119,11 +115,7 @@ def count_sign_pattern(
     k = len(specs)
     total = sum(degree(s.poly) for s in specs)
     bound = (math.sqrt(F.q) + 1) * total / 2
-    sf: bool | None
-    if assume_squarefree:
-        sf = True
-    else:
-        sf = is_squarefree_list(F, [s.poly for s in specs]).squarefree
+    sf = assume_squarefree or is_squarefree_list(F, [s.poly for s in specs]).squarefree
     within = abs(n - F.q / 2**k) < bound
     return WeilCount(n, k, total, bound, sf, within)
 
@@ -204,6 +196,15 @@ def slice_param_admissible(F: Field, c: int) -> tuple[bool, list[str]]:
     return not failed, failed
 
 
+def slice_param_ok(F: Field, c: int | np.ndarray) -> bool | np.ndarray:
+    """The rule for slice parameters c (codes, scalar or array): squares outside
+    {0, 1}, with chi(1 - c) = 1 when q = 3 mod 4."""
+    ok = (F.chi_table[c] == 1) & (c != 1)
+    if F.q % 4 == 3:
+        ok &= F.chi_table[F.vsub(1, c)] == 1
+    return ok
+
+
 def slice_poly_list(F: Field, c: int) -> list[Poly]:
     """The 15 fixed polynomials in x at parameter c: SLICE_POLYS at y = c."""
     return [normalize([poly_eval(F, tuple(map(F.embed, row)), c) for row in rows])
@@ -226,8 +227,7 @@ class SliceListReport:
     q: int
     admissible_count: int = 0
     inadmissible_count: int = 0
-    inadmissible_good_slice_count: int = 0  # inadmissible c with chi(c)=chi(1-c)=1
-    inadmissible_square_count: int = 0      # inadmissible square c outside {0,1}
+    inadmissible_slice_param_count: int = 0  # inadmissible c that slice_param_ok accepts
     violations: list[str] = dc_field(default_factory=list)
 
     @property
@@ -261,10 +261,7 @@ def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
         adm, _failed = slice_param_admissible(F, c)
         if not adm:
             rep.inadmissible_count += 1
-            if c not in (0, 1) and F.chi(c) == 1:
-                rep.inadmissible_square_count += 1
-                if F.chi(F.sub(1, c)) == 1:
-                    rep.inadmissible_good_slice_count += 1
+            rep.inadmissible_slice_param_count += bool(slice_param_ok(F, c))
             continue
         rep.admissible_count += 1
         polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
@@ -285,8 +282,7 @@ def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
     for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
         rep.admissible_count += part.admissible_count
         rep.inadmissible_count += part.inadmissible_count
-        rep.inadmissible_good_slice_count += part.inadmissible_good_slice_count
-        rep.inadmissible_square_count += part.inadmissible_square_count
+        rep.inadmissible_slice_param_count += part.inadmissible_slice_param_count
         rep.violations.extend(part.violations)
     return rep
 
@@ -335,8 +331,7 @@ def run_weil_trials(F: Field, n_lists: int, seed: int) -> WeilTrialReport:
     rng = SplitMix64(seed)
     violations = 0
     worst = 0.0
-    done = 0
-    while done < n_lists:
+    for _ in range(n_lists):
         specs = random_squarefree_specs(F, rng)
         if specs is None:
             raise RuntimeError(f"could not draw a square-free list over F_{F.q}")
@@ -345,5 +340,4 @@ def run_weil_trials(F: Field, n_lists: int, seed: int) -> WeilTrialReport:
         worst = max(worst, gap / res.bound)
         if not res.within_bound:
             violations += 1
-        done += 1
     return WeilTrialReport(F.q, n_lists, violations, worst)

@@ -144,6 +144,16 @@ def test_is_mna_C_rejects_pairs_outside_sigma():
             is_mna_C(F, pair)
 
 
+@pytest.mark.parametrize("method", ["C", "Bscaled"])
+def test_sigma_count_rejects_pairs_outside_sigma(method):
+    F = field(13)
+    good = enumerate_sigma(F)[:3]
+    for bad in ((0, 5), (5, 5), (1, 7)):
+        with pytest.raises(NotInSigma):
+            sigma_count(F, method, pairs=[*good, bad])
+    assert sigma_count(F, method, pairs=good) == sum(is_mna_Bscaled(F, p) for p in good)
+
+
 # -- method C: the four-character rule against the equation ------------------
 
 def linear_coeffs(F, a, b, cls):

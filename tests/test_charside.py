@@ -7,7 +7,6 @@ from mnaq import assoc, charside
 from mnaq.assoc import ALL_CLASSES, solutions_E
 from mnaq.charside import (
     is_regular_pair,
-    count_good_slice_params,
     exceptional_pairs,
     orbit_slices,
     s_class_member,
@@ -22,7 +21,7 @@ from mnaq.errors import BadSliceParam, IrregularPair, NotInS
 from mnaq.field import LOG_DIGIT_TILES, SUM_TERMS, odd_prime_powers
 from mnaq.gfpoly import poly_eval_vec
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
-from mnaq.reports import LIMIT_MOD1, LIMIT_MOD3
+from mnaq.reports import limit_constant
 from mnaq.suites import membership_vs_e_side
 from mnaq.weil import SLICE_POLYS, slice_param_admissible, slice_poly_list, table_eval
 
@@ -193,19 +192,13 @@ def test_slice_polys_fit_the_sum_lookup():
 
 
 @pytest.mark.parametrize("q", [11, 13, 19, 29])
-def test_limit_constant_is_the_share_of_the_sign_cube_in_t(q, monkeypatch):
-    # the 14 characters of _slice_chars and chi(1 - y) as 15 free signs: the
-    # share of sign vectors that D's rules leave in T, times 1/4 for x and y
-    # being squares, is the paper's limit constant
-    cube = 1 - 2 * ((np.arange(2**14) >> np.arange(14)[:, None]) & 1).astype(np.int8)
-    monkeypatch.setattr(charside, "_slice_chars",
-                        lambda F, cs, LX: [np.broadcast_to(c, LX.shape) for c in cube])
-    F = field(q)
-    cs = np.array([next(c for c in range(2, q) if F.chi(F.sub(1, c)) == s)
-                   for s in (1, -1)])
-    n = int(charside._evaluate(F, cs, np.zeros((2, 2**14), dtype=np.int32))[1].sum())
-    assert n == (3812 if q % 4 == 1 else 1650)
-    assert Fraction(n, 2**17) == (LIMIT_MOD1 if q % 4 == 1 else LIMIT_MOD3)
+def test_limit_constant_is_the_share_of_the_sign_cube_in_t(q):
+    # the 15 characters class_masks reads as free signs: 3812 (q = 1 mod 4) or
+    # 1650 (q = 3 mod 4) of the 2^15 sign vectors lie in T; times 1/4 for x and
+    # y being squares, that is the paper's limit constant
+    n = 3812 if q % 4 == 1 else 1650
+    assert limit_constant(q) == Fraction(n, 2**17)
+    assert limit_constant(q) == (Fraction(953, 32768) if q % 4 == 1 else Fraction(825, 65536))
 
 
 @pytest.mark.parametrize("q", [13, 27, 49, 125, 243, 1009])
@@ -216,8 +209,11 @@ def test_slice_chars_match_horner(q):
     for c in map(int, charside._square_codes(F)):
         X = slice_eval(F, c).xs
         chars = charside._slice_chars(F, np.array([c]), log[X][None])
-        for got, p in zip(chars, slice_poly_list(F, c)[1:], strict=True):
-            assert np.array_equal(got[0], F.chi_table[poly_eval_vec(F, p, X)]), (c, p)
+        assert list(chars) == list(SLICE_POLYS)[1:] + ["1-y"]
+        for name, p in zip(SLICE_POLYS, slice_poly_list(F, c)):
+            if name != "x":
+                assert np.array_equal(chars[name][0], F.chi_table[poly_eval_vec(F, p, X)]), (c, p)
+        assert chars["1-y"].tolist() == [[F.chi(F.sub(1, c))]]
 
 
 def test_sigma_d_jobs_matches_serial():
@@ -257,7 +253,7 @@ def test_t_partition_identities(q):
 
 @pytest.mark.parametrize("q", [11, 19, 23, 27, 31])
 def test_good_slice_count(q):
-    assert count_good_slice_params(field(q)) == (q - 3) // 4
+    assert len(slice_params(field(q))) == (q - 3) // 4
 
 
 def test_slice_counters_validation():

@@ -4,7 +4,8 @@ Each command runs in-process through cli.main; its stdout, with every
 `seconds` value masked, must equal tests/fixtures/cli/<name>.out, and its
 stderr tests/fixtures/cli/<name>.err (empty when that file is absent).
 After a deliberate change of output, rewrite the fixtures with
-`PYTHONPATH=src python tests/test_cli_golden.py`.
+`PYTHONPATH=src python tests/test_cli_golden.py`; it writes nothing unless
+every command exits with its code in COMMANDS.
 """
 
 import contextlib
@@ -77,9 +78,13 @@ def test_mask_seconds_masks_only_seconds():
 
 
 if __name__ == "__main__":
+    results = [(argv, exit_code, *run(argv)) for argv, exit_code in COMMANDS]
+    wrong = [f"{argv}: exit {code}, expected {exit_code}"
+             for argv, exit_code, code, _, _ in results if code != exit_code]
+    if wrong:
+        sys.exit("no fixture written:\n" + "\n".join(wrong))
     GOLDEN.mkdir(parents=True, exist_ok=True)
-    for argv, _ in COMMANDS:
-        code, out, err = run(argv)
+    for argv, _, code, out, err in results:
         (GOLDEN / f"{_name(argv)}.out").write_text(out, encoding="utf-8")
         if err:
             (GOLDEN / f"{_name(argv)}.err").write_text(err, encoding="utf-8")

@@ -20,6 +20,7 @@ from mnaq.quasigroup import (
     psi_map,
     qmul,
     sigma_cardinality,
+    sigma_mask,
 )
 
 from conftest import field
@@ -30,6 +31,14 @@ def test_is_sigma_pair_edges():
     assert not is_sigma_pair(F, 0, 5)
     assert not is_sigma_pair(F, 5, 1)
     assert not is_sigma_pair(F, 5, 5)
+
+
+@pytest.mark.parametrize("q", [9, 13, 27])
+def test_sigma_mask_is_is_sigma_pair_on_every_code_pair(q):
+    # codes 0 and 1 included: the character test alone keeps them out
+    F = field(q)
+    mask = sigma_mask(F, F.codes[:, None], F.codes[None, :])
+    assert mask.tolist() == [[is_sigma_pair(F, a, b) for b in range(q)] for a in range(q)]
 
 
 @pytest.mark.parametrize(

@@ -149,7 +149,7 @@ def test_verify_slice_lists_jobs_match_serial(q):
 def test_inadmissible_good_slice_bound_mod3():
     for q in (19, 23, 27, 31):
         rep = verify_slice_lists(field(q))
-        assert rep.inadmissible_good_slice_count <= 22
+        assert rep.inadmissible_slice_param_count <= 22
 
 
 def test_random_squarefree_specs_seeded():
