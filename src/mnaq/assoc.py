@@ -238,8 +238,8 @@ def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     u = 0 or v = 0 and a zero character; where A = B = 0 the scan decides."""
     digits, zero, _ = F.log_digits
     log = F.logs[0]
-    mono = np.take(digits, _MONOS[:, :1] * log[a] + _MONOS[:, 1:] * log[b], axis=1)
-    chis = F.chi_of_sum(zero + np.einsum("pm,kmn->kpn", _C_POLYS.astype(digits.dtype), mono))
+    mono = digits.take(_MONOS[:, :1] * log[a] + _MONOS[:, 1:] * log[b])
+    chis = F.chi_of_sum(zero + np.einsum("pm,mn->pn", _C_POLYS.astype(digits.dtype), mono))
     cA, cB, cX, cY = chis[_C_INDEX.reshape(16, 4).T]
     s_i, s_j, s_r, s_s = 1 - 2 * np.array(ALL_CLASSES, dtype=np.int8).T[..., None]
     holds = ((F.chi(F.neg(1)) * cA * cB * s_i == s_j) & (cX * cB * s_i == s_r)

@@ -15,8 +15,9 @@ so sigma_count_D scans about a quarter of the pairs, weighted by their orbits.
 
 The rules run on blocks of slices, x given by their logs (slice_eval is the
 one-row view): a SLICE_POLYS entry is a signed sum of its monomials x^i y^j,
-columns i*log(x) + j*log(y) of Field.log_digits, and costs a few integer adds
-and one Field.chi_of_sum lookup, with no reduction mod q.
+entries i*log(x) + j*log(y) of Field.log_digits (one integer per element, its
+digits packed on an extension field), and costs one gather per monomial, a few
+integer adds and one Field.chi_of_sum, with no reduction mod q.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -41,7 +42,7 @@ from .quasigroup import SPair, is_s_pair
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
 T_GRID_LIMIT = 512
-BLOCK_DIGITS = 1 << 13  # digits (rows x width x k) per block of sigma_count_D's slices
+BLOCK_DIGITS = 1 << 13  # log_digits entries (rows x width) per block of sigma_count_D's slices
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
 CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
@@ -130,7 +131,7 @@ def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarr
         for i, row in enumerate(SLICE_POLYS[name]):
             for j, a in enumerate(row):
                 if (i, j) not in mono and a:
-                    mono[i, j] = np.take(digits, i * LX + j * Lc, axis=1)
+                    mono[i, j] = digits.take(i * LX + j * Lc)
                 for _ in range(abs(a)):
                     T = T + mono[i, j] if a > 0 else T - mono[i, j]
         chars[name] = F.chi_of_sum(T)
@@ -207,7 +208,7 @@ def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
     width, Lc, Linv = hi - lo, log[cs], log[F.vinv(cs)]
     # weight 4, or 2 on the slice c = -1; x = 1/c (an orbit of size 2) 2 less
     weight = np.where(Lc == Linv, 2, 4)
-    rows = max(1, BLOCK_DIGITS // (F.k * int(width.max(initial=1))))
+    rows = max(1, BLOCK_DIGITS // int(width.max(initial=1)))
     total = 0
     for s in range(0, len(slices), rows):
         b = slice(s, s + rows)

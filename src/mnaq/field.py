@@ -15,7 +15,9 @@ generator g by code, built with the field from one k x k matrix over F_p,
 "multiply by g".  The quadratic character chi maps nonzero squares to +1,
 nonsquares to -1 and 0 to 0; on an extension field it is the parity of the log.
 A prime field keeps % arithmetic, marks chi at u*u for every nonzero u, and
-builds its log tables on first use.
+builds its log tables on first use.  The counters' character sums add powers of g
+as Field.log_digits rows: on an extension field, k base-p digits packed in one
+int64 that add without a carry, read by one table lookup per group of digits.
 """
 
 from __future__ import annotations
@@ -128,6 +130,11 @@ def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 LOG_BLOCK = 1024  # digit rows per step of the antilog fill
 LOG_DIGIT_TILES = 3  # copies of the antilog in Field.log_digits: the largest degree
 SUM_TERMS = 4  # columns of log_digits a sum read by Field.chi_of_sum may add up
+
+
+def packed_bits(p: int) -> int:
+    """Bits per base-p digit in Field.log_digits: room for [0, 2*SUM_TERMS*(p-1)]."""
+    return (2 * SUM_TERMS * (p - 1)).bit_length()
 
 
 class Field:
@@ -253,30 +260,24 @@ class Field:
             return (u * v) % self.q
         if u == 0 or v == 0:
             return 0
-        log, antilog = self.logs
-        return int(antilog[(log[u] + log[v]) % (self.q - 1)])
+        log, antilog = self._log_lists
+        return antilog[(log[u] + log[v]) % (self.q - 1)]
 
     def inv(self, u: int) -> int:
-        if u == 0:
-            raise DivisionByZero("0 has no multiplicative inverse")
-        if self.k == 1:
-            return pow(u, self.q - 2, self.q)
-        log, antilog = self.logs
-        return int(antilog[-log[u] % (self.q - 1)])
+        return self.pow(u, -1)
 
     def div(self, u: int, v: int) -> int:
         return self.mul(u, self.inv(v))
 
     def pow(self, u: int, n: int) -> int:
-        if n < 0:
-            u = self.inv(u)
-            n = -n
+        if u == 0:
+            if n < 0:
+                raise DivisionByZero("0 has no multiplicative inverse")
+            return 0 if n else 1
         if self.k == 1:
             return pow(u, n, self.q)
-        if u == 0:
-            return 0 if n else 1
-        log, antilog = self.logs
-        return int(antilog[int(log[u]) * n % (self.q - 1)])
+        log, antilog = self._log_lists
+        return antilog[log[u] * n % (self.q - 1)]
 
     def embed(self, n: int) -> int:
         """Code of the prime-subfield element n mod p."""
@@ -298,6 +299,11 @@ class Field:
         """(log, antilog) for the least multiplicative generator by code; built
         with the field on an extension field, on first use on a prime field."""
         return read_only(*self._log_tables())
+
+    @cached_property
+    def _log_lists(self) -> tuple[list[int], list[int]]:
+        """logs as lists, for the scalar mul/inv/pow; built on first scalar use."""
+        return self.logs[0].tolist(), self.logs[1].tolist()
 
     # -- vectorized arithmetic on int64 code arrays ----------------------------
 
@@ -331,32 +337,37 @@ class Field:
     # -- characters of unreduced sums of powers of g --------------------------
 
     @cached_property
-    def log_digits(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, zero, table), built on first use.  rows[:, e] holds g^e for e below
-        LOG_DIGIT_TILES*(q-1), the code on a prime field and the base-p digits on an
-        extension field, so a monomial in elements given by their logs needs no index
-        reduction.  chi_of_sum reads zero + (a signed sum of at most SUM_TERMS columns)."""
-        p, k = self.p, self.k
+    def log_digits(self) -> tuple[np.ndarray, int, tuple[np.ndarray, ...]]:
+        """(rows, zero, tables), built on first use.  rows[e] holds g^e for e below
+        LOG_DIGIT_TILES*(q-1), so monomials need no log reduction: the code on a prime
+        field, else its k base-p digits in one int64, packed_bits(p) bits each.
+        chi_of_sum reads zero plus a signed sum of at most SUM_TERMS rows; zero holds
+        span in every digit, so a digit stays in [0, 2*span] and carries nothing."""
+        p, k, antilog = self.p, self.k, self.logs[1]
         span = SUM_TERMS * (p - 1)  # a digit of a sum lies in [-span, span]
-        # digit i of a sum is read from the i-th copy of the residue table
-        zero = span + (2 * span + 1) * np.arange(k).reshape(k, 1, 1)
-        if k == 1:  # chi(t mod q) for t = -span, ..., span
-            rows, dtype = self.logs[1][None], np.int32
-            table = np.resize(np.roll(self.chi_table, span), 2 * span + 1)
+        if k == 1:  # chi(t mod q) at t + span, for t = -span, ..., span
+            rows, zero = antilog.astype(np.int32), span
+            tables = [np.resize(np.roll(self.chi_table, span), 2 * span + 1)]
         else:
-            rows, dtype = self.logs[1] // p ** np.arange(k)[:, None] % p, np.int16
-            t = np.arange(-span, span + 1) % p
-            table = (t * p ** np.arange(k)[:, None]).astype(np.int32).ravel()
-        rows = np.tile(rows.astype(dtype), LOG_DIGIT_TILES)
-        return read_only(rows, zero.astype(dtype), table)
+            bits = packed_bits(p)
+            rows = sum(antilog // p**i % p << bits * i for i in range(k))
+            zero = sum(span << bits * i for i in range(k))
+            tables, n = [], 16 // bits  # n digits per table: the code of their residues
+            for i in np.split(np.arange(k), range(n, k, n)):
+                d = np.arange(1 << bits * i.size)[:, None] >> bits * (i - i[0]) & (1 << bits) - 1
+                tables.append(((d - span) % p @ p**i).astype(np.int32))
+        return read_only(np.tile(rows, LOG_DIGIT_TILES))[0], zero, read_only(*tables)
 
     def chi_of_sum(self, T: np.ndarray) -> np.ndarray:
-        """chi of the sums T (shape (k, ...)) that log_digits describes: one lookup on
-        a prime field; the digit residues times their place values, summed, then chi."""
-        table = self.log_digits[2]
+        """chi of the sums T that log_digits describes: one lookup on a prime field; else
+        table g maps the bits of the g-th group of digits (at most 2^16 entries) to the
+        code of their residues, and chi_table reads the sum of the groups' codes."""
+        tables = self.log_digits[2]
         if self.k == 1:
-            return table.take(T[0])
-        return self.chi_table[table.take(T).sum(axis=0)]
+            return tables[0].take(T)
+        width = tables[0].size.bit_length() - 1  # bits of a full group
+        return self.chi_table.take(sum(t.take((T >> g * width) & (t.size - 1))
+                                       for g, t in enumerate(tables)))
 
     # -- misc -------------------------------------------------------------
 

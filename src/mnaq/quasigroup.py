@@ -37,7 +37,7 @@ def sigma_cardinality(q: int) -> int:
 
 
 def is_sigma_pair(F: Field, a: int, b: int) -> bool:
-    if a in (0, 1) or b in (0, 1) or a == b:
+    if not (1 < a < F.q and 1 < b < F.q) or a == b:
         return False
     if F.chi(F.mul(a, b)) != 1:
         return False
@@ -92,7 +92,9 @@ def sigma_mask(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     # a != b that meets {0, 1} has chi(a) != chi(b) or chi(1-a) != chi(1-b)
     chi = F.chi_table
     chi_1m = chi[F.vsub(1, F.codes)]
-    return (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
+    inside = (0 <= A) & (A < F.q) & (0 <= B) & (B < F.q)  # no code outside [0, q) counts
+    A, B = np.clip(A, 0, F.q - 1), np.clip(B, 0, F.q - 1)
+    return inside & (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
 
 
 def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

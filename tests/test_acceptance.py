@@ -208,7 +208,7 @@ def test_criterion_12_method_c_witness():
     # method C counts on the parameter side, D on the square-pair side
     start = time.perf_counter()
     counts = {}
-    for q in (3001, 729):
+    for q in (3001, 729, 2187):
         F = field(q)
         counts[q] = (sigma_count(F, "C"), sigma_count_D(F))
     elapsed = time.perf_counter() - start

@@ -21,7 +21,7 @@ from mnaq.assoc import (
 )
 from mnaq.charside import sigma_count_D
 from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
-from mnaq.quasigroup import SigmaPair, enumerate_sigma
+from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair
 
 from conftest import field
 
@@ -152,6 +152,17 @@ def test_sigma_count_rejects_pairs_outside_sigma(method):
         with pytest.raises(NotInSigma):
             sigma_count(F, method, pairs=[*good, bad])
     assert sigma_count(F, method, pairs=good) == sum(is_mna_Bscaled(F, p) for p in good)
+
+
+def test_codes_outside_the_field_are_in_no_sigma_pair():
+    # -1 must not wrap to q - 1, and q must not raise IndexError from one path only
+    F = field(13)
+    for pair in ((-1, 3), (13, 3), (3, 13)):
+        assert not is_sigma_pair(F, *pair)
+        with pytest.raises(NotInSigma):
+            sigma_count(F, pairs=[pair])
+        with pytest.raises(NotInSigma):
+            is_mna_C(F, SigmaPair(*pair))
 
 
 # -- method C: the four-character rule against the equation ------------------

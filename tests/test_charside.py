@@ -173,7 +173,7 @@ def test_sigma_d_matches_full_scan(monkeypatch):
         assert sigma_count_D(F) == full, q
         widest = max((hi - lo for _, lo, hi in orbit_slices(F)[2]), default=1)
         for rows in (2, 3):
-            monkeypatch.setattr(charside, "BLOCK_DIGITS", rows * F.k * widest)
+            monkeypatch.setattr(charside, "BLOCK_DIGITS", rows * widest)
             assert sigma_count_D(F) == full, (q, rows)
         monkeypatch.undo()
 

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mnaq.charside import orbit_slices
+from mnaq.charside import orbit_slices, sigma_count_D
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
-from mnaq.field import least_irreducible, make_field, odd_prime_powers
+from mnaq.field import (
+    LOG_DIGIT_TILES, MAX_FIELD_ORDER, SUM_TERMS, least_irreducible, make_field,
+    odd_prime_powers, packed_bits,
+)
 
 from conftest import field
 
@@ -246,7 +249,8 @@ def test_vinv_matches_inv(q):
 @pytest.mark.parametrize("q", [13, 81])
 def test_field_tables_read_only(q):
     F = field(q)
-    for table in (F.chi_table, F.sqrt_table, *F.logs, *orbit_slices(F)):
+    rows, _, tables = F.log_digits
+    for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, *orbit_slices(F)):
         with pytest.raises(ValueError):
             table[1] = 0
 
@@ -335,3 +339,58 @@ def test_sqrt_table():
 
 def test_odd_prime_powers_list():
     assert odd_prime_powers(3, 30) == [3, 5, 7, 9, 11, 13, 17, 19, 23, 25, 27, 29]
+
+
+def test_packed_digits_fit_an_int64():
+    # every extension field up to the ceiling packs its k digits in 62 bits
+    primes = [p for p in range(3, 1 << 10, 2) if all(p % d for d in range(3, p, 2))]
+    for p in primes:
+        k = 2
+        while p**k <= MAX_FIELD_ORDER:
+            assert packed_bits(p) * k <= 62, (p, k)
+            k += 1
+    assert packed_bits(3) * 12 == 60
+
+
+def folded(F, signs, cols):
+    """The element sum of sign * g^col, one term at a time by F.add and F.sub."""
+    antilog = F.logs[1]
+    acc = np.zeros(cols.shape[1], dtype=np.int64)
+    for s, e in zip(signs, cols):
+        g_e = antilog[e % (F.q - 1)]
+        acc = F.add(acc, g_e) if s > 0 else F.sub(acc, g_e)
+    return acc
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 125, 343, 2187])
+def test_chi_of_sum_matches_folded_sums(q):
+    F = field(q)
+    rows, zero, _ = F.log_digits
+    rng = np.random.default_rng(q)
+    for n in range(1, SUM_TERMS + 1):
+        signs = rng.choice([-1, 1], n)
+        cols = rng.integers(0, LOG_DIGIT_TILES * (q - 1), (n, 2000))
+        T = zero + sum(s * rows[e] for s, e in zip(signs, cols))
+        assert np.array_equal(F.chi_of_sum(T), F.chi_table[folded(F, signs, cols)])
+    # the extreme digits: SUM_TERMS - 1 copies of the element whose digits are all
+    # p - 1, and each power of g, added (up to 2 * span in every digit) or
+    # subtracted (down to 0 in every digit) in any mix
+    cols = np.vstack([np.full((SUM_TERMS - 1, q - 1), F.logs[0][q - 1]), np.arange(q - 1)])
+    for signs in np.array(np.meshgrid(*[[-1, 1]] * SUM_TERMS)).reshape(SUM_TERMS, -1).T:
+        T = zero + sum(s * rows[e] for s, e in zip(signs, cols))
+        assert np.array_equal(F.chi_of_sum(T), F.chi_table[folded(F, signs, cols)])
+
+
+@pytest.mark.parametrize("q", [27, 125])
+def test_scalar_mul_inv_pow_match_the_tables(q):
+    F = make_field(q)
+    sigma_count_D(F)
+    assert "_log_lists" not in vars(F)  # set-up and D never build the scalar lists
+    U, V = np.divmod(np.arange(q * q), q)
+    assert [F.mul(u, v) for u, v in zip(U.tolist(), V.tolist())] == F.vmul(U, V).tolist()
+    assert [F.inv(u) for u in range(1, q)] == F.vinv(F.codes[1:]).tolist()
+    for n in (-2, -1, 0, 1, 2, 3, q - 1, q + 5):
+        want = np.ones(q - 1, dtype=np.int64)
+        for _ in range(abs(n)):
+            want = F.vmul(want, F.codes[1:] if n > 0 else F.vinv(F.codes[1:]))
+        assert [F.pow(u, n) for u in range(1, q)] == want.tolist()
