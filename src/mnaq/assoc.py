@@ -175,17 +175,9 @@ def is_mna_B(F: Field, pair: SigmaPair) -> bool:
 def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
     """Method B on scaling representatives only: u in {1, zeta} with v free,
     plus u = 0 with v in {1, zeta}."""
-    q = F.q
-    zeta = least_nonsquare(F)
-    U = np.concatenate(
-        [
-            np.ones(q, dtype=np.int64),
-            np.full(q, zeta, dtype=np.int64),
-            np.zeros(2, dtype=np.int64),
-        ]
-    )
-    V = np.concatenate([F.codes, F.codes, np.array([1, zeta], dtype=np.int64)])
-    return not bool(assoc_eq_vec(F, pair, U, V).any())
+    reps = [[1], [least_nonsquare(F)]]
+    return not (assoc_eq_vec(F, pair, reps, F.codes).any()
+                or assoc_eq_vec(F, pair, 0, reps).any())
 
 
 # ----------------------------------------------------------------------

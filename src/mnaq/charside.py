@@ -135,7 +135,7 @@ def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarr
                 for _ in range(abs(a)):
                     T = T + mono[i, j] if a > 0 else T - mono[i, j]
         chars[name] = F.chi_of_sum(T)
-    chars["1-y"] = F.chi_table[F.vsub(1, cs)][:, None]
+    chars["1-y"] = F.chi_one_minus[cs][:, None]
     return chars
 
 

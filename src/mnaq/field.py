@@ -301,6 +301,11 @@ class Field:
         return read_only(*self._log_tables())
 
     @cached_property
+    def chi_one_minus(self) -> np.ndarray:
+        """chi(1 - u) at every code u, built on first use."""
+        return read_only(self.chi_table[self.vsub(1, self.codes)])[0]
+
+    @cached_property
     def _log_lists(self) -> tuple[list[int], list[int]]:
         """logs as lists, for the scalar mul/inv/pow; built on first scalar use."""
         return self.logs[0].tolist(), self.logs[1].tolist()

@@ -61,8 +61,7 @@ def qmul(F: Field, pair: SigmaPair, u: int, v: int) -> int:
 
 
 def psi_vec(F: Field, pair: SigmaPair, W: np.ndarray) -> np.ndarray:
-    a, b = pair
-    return np.where(F.chi_table[W] >= 0, F.vmul(a, W), F.vmul(b, W))
+    return F.vmul(np.where(F.chi_table[W] >= 0, *pair), W)
 
 
 def psi_map(F: Field, pair: SigmaPair) -> SPair:
@@ -90,8 +89,7 @@ def sigma_mask(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Membership in Sigma of (a, b) for code arrays A, B that broadcast together."""
     # outside {0, 1}, chi(ab) = 1 iff chi(a) = chi(b), and so for 1-a, 1-b; a pair
     # a != b that meets {0, 1} has chi(a) != chi(b) or chi(1-a) != chi(1-b)
-    chi = F.chi_table
-    chi_1m = chi[F.vsub(1, F.codes)]
+    chi, chi_1m = F.chi_table, F.chi_one_minus
     inside = (0 <= A) & (A < F.q) & (0 <= B) & (B < F.q)  # no code outside [0, q) counts
     A, B = np.clip(A, 0, F.q - 1), np.clip(B, 0, F.q - 1)
     return inside & (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])

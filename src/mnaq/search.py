@@ -2,8 +2,10 @@
 
 Sampling is rejection from uniform (a, b) in (F_q \\ {0, 1})^2, accepted when
 the pair lands in Sigma (acceptance rate is about 1/4).  One attempt is one
-Sigma member tested for maximal nonassociativity; raw draws are capped so the
-search terminates even when Sigma is empty (q in {3, 5}).
+Sigma member tested for maximal nonassociativity, decided by method C; only the
+first pair C accepts is confirmed by method Bscaled, the direct scan of the
+associativity equation.  Raw draws are capped so the search terminates even
+when Sigma is empty (q in {3, 5}).
 """
 
 from __future__ import annotations
@@ -48,8 +50,8 @@ def search_mna(
     seed: int,
     max_attempts: int = 10_000,
 ) -> SearchCertificate:
-    """First sampled Sigma pair that verifies as maximally nonassociative by
-    method Bscaled, cross-checked by method C."""
+    """First sampled Sigma pair that is maximally nonassociative, decided by
+    method C and confirmed by method Bscaled (VerificationFailure if they differ)."""
     rng = SplitMix64(seed)
     draw_budget = 64 * max_attempts + 64
     attempts = 0
@@ -59,10 +61,10 @@ def search_mna(
             if pair is None:
                 break
             attempts += 1
-            if is_mna_Bscaled(F, pair):
-                if not is_mna_C(F, pair):
+            if is_mna_C(F, pair):
+                if not is_mna_Bscaled(F, pair):
                     raise VerificationFailure(
-                        f"{pair} passes method Bscaled but fails method C at q={F.q}")
+                        f"{pair} passes method C but fails method Bscaled at q={F.q}")
                 return SearchCertificate(
                     F.q, pair.a, pair.b, ("Bscaled", "C"), seed, attempts
                 )
@@ -72,7 +74,8 @@ def search_mna(
 
 
 def verify_certificate(F: Field, cert: SearchCertificate) -> bool:
-    """Re-verify a loaded certificate (pair membership plus the fast method)."""
+    """Re-verify a loaded certificate: pair membership, then method Bscaled, the
+    direct scan of the associativity equation."""
     if cert.q != F.q or not is_sigma_pair(F, cert.a, cert.b):
         return False
     return is_mna_Bscaled(F, SigmaPair(cert.a, cert.b))

@@ -388,7 +388,7 @@ def _partition_maps_hold(F: Field) -> bool:
     X, Y = F.codes[:, None], F.codes[None, :]
     chars = {name: F.chi_table[table_eval(F, name, X, Y)]
              for name in ("x-1", "x-y", "f1", "f2", "f3", "f4")}
-    chars["1-y"] = F.chi_table[F.vsub(1, Y)]
+    chars["1-y"] = F.chi_one_minus[Y]
     m = t_pieces(q % 4, t_grid(F), chars)
     inv_idx = F.vinv(F.codes)
 

@@ -201,7 +201,7 @@ def slice_param_ok(F: Field, c: int | np.ndarray) -> bool | np.ndarray:
     {0, 1}, with chi(1 - c) = 1 when q = 3 mod 4."""
     ok = (F.chi_table[c] == 1) & (c != 1)
     if F.q % 4 == 3:
-        ok &= F.chi_table[F.vsub(1, c)] == 1
+        ok &= F.chi_one_minus[c] == 1
     return ok
 
 

@@ -104,7 +104,7 @@ def test_method_agreement_exhaustive(q):
         assert a == is_mna_B(F, pair) == is_mna_Bscaled(F, pair) == is_mna_C(F, pair)
 
 
-@pytest.mark.parametrize("q", [13, 27])
+@pytest.mark.parametrize("q", [13, 25, 27, 31])
 def test_b_equals_bscaled(q):
     F = field(q)
     for pair in enumerate_sigma(F):

@@ -101,7 +101,7 @@ def test_verify_failure_exit_code(capsys, monkeypatch):
 def test_search_cross_check_failure_exit_code(capsys, monkeypatch):
     import mnaq.search
 
-    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: False)
+    monkeypatch.setattr(mnaq.search, "is_mna_Bscaled", lambda F, pair: False)
     code, out, err = run_cli(capsys, "search", "--q", "13", "--seed", "42")
     assert code == EXIT_VERIFY
     assert out == ""

@@ -250,9 +250,17 @@ def test_vinv_matches_inv(q):
 def test_field_tables_read_only(q):
     F = field(q)
     rows, _, tables = F.log_digits
-    for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, *orbit_slices(F)):
+    for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, *orbit_slices(F),
+                  F.chi_one_minus):
         with pytest.raises(ValueError):
             table[1] = 0
+
+
+@pytest.mark.parametrize("q", [13, 27, 125])
+def test_chi_one_minus_is_lazy_and_matches_chi(q):
+    F = make_field(q)
+    assert "chi_one_minus" not in vars(F)
+    assert F.chi_one_minus.tolist() == [F.chi(F.sub(1, u)) for u in range(q)]
 
 
 def test_specific_arithmetic_f13():

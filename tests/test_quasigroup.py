@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,6 +19,7 @@ from mnaq.quasigroup import (
     phi_map,
     psi,
     psi_map,
+    psi_vec,
     qmul,
     sigma_cardinality,
     sigma_mask,
@@ -75,6 +77,17 @@ def test_psi_basics():
     for u in range(1, 13):
         expect = F.mul(2 if F.chi(u) == 1 else 5, u)
         assert psi(F, pair, u) == expect
+
+
+@pytest.mark.parametrize("q", [13, 27, 125])
+def test_psi_vec_matches_psi(q):
+    F = field(q)
+    sigma = enumerate_sigma(F)
+    grid = np.stack([F.codes, F.codes[::-1]])  # a 2-D input
+    for pair in sigma[:: max(1, len(sigma) // 5)]:
+        want = [psi(F, pair, u) for u in range(q)]
+        assert psi_vec(F, pair, F.codes).tolist() == want
+        assert (psi_vec(F, pair, grid) == np.array(want)[grid]).all()
 
 
 def test_psi_is_orthomorphism_all_pairs_f13():

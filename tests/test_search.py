@@ -1,6 +1,8 @@
+import re
+
 import pytest
 
-from mnaq.assoc import is_mna_Bscaled
+from mnaq.assoc import is_mna_B, is_mna_Bscaled
 from mnaq.errors import SearchExhausted, VerificationFailure
 from mnaq.quasigroup import SigmaPair, is_sigma_pair
 from mnaq.rng import SplitMix64
@@ -49,9 +51,38 @@ def test_search_deterministic():
 def test_search_cross_check_failure_raises(monkeypatch):
     import mnaq.search
 
-    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: False)
+    monkeypatch.setattr(mnaq.search, "is_mna_Bscaled", lambda F, pair: False)
     with pytest.raises(VerificationFailure):
         search_mna(field(13), seed=42)
+
+
+def test_search_confirmation_rejects_a_pair_method_c_wrongly_accepts(monkeypatch):
+    import mnaq.search
+
+    F = field(13)
+    seed = next(s for s in range(100)
+                if not is_mna_B(F, sample_sigma_pair(F, SplitMix64(s), 10_000)))
+    pair = sample_sigma_pair(F, SplitMix64(seed), 10_000)
+    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: True)
+    with pytest.raises(VerificationFailure, match=re.escape(str(pair))):
+        search_mna(F, seed=seed)
+
+
+# (a, b, attempts) of search_mna(F, seed) for seeds 0-4, when each attempt was
+# decided by method Bscaled
+PINNED_SEARCHES = {
+    1009: [(170, 438, 3), (260, 801, 5), (141, 260, 3), (398, 150, 6), (163, 76, 4)],
+    2187: [(898, 1510, 13), (30, 1493, 10), (662, 878, 9), (1170, 1786, 37), (98, 1603, 43)],
+    10007: [(5723, 3196, 3), (6307, 7525, 7), (8494, 648, 81), (8920, 8279, 9), (4695, 2649, 3)],
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_SEARCHES))
+def test_search_outputs_pinned(q):
+    F = field(q)
+    got = [search_mna(F, seed) for seed in range(5)]
+    assert [(c.a, c.b, c.attempts) for c in got] == PINNED_SEARCHES[q]
+    assert all(c.methods == ("Bscaled", "C") and verify_certificate(F, c) for c in got)
 
 
 def test_search_exhausts_on_sigma_free_field():
