@@ -16,27 +16,27 @@ y = c it is the fixed 15-polynomial list used by all slice estimates.  The ten
 admissibility conditions on c guarantee that this list is square-free;
 verify_slice_lists confirms it exhaustively for a field, along with the size of
 the root set R(c) and the root-separation facts the argument leans on.
+
+It does so in numpy over blocks of c.  Every member has degree at most 2 in x
+and keeps it at an admissible c, so its factors are closed-form: -a0/a1 for a
+linear member; for a quadratic, its roots from the discriminant's chi and sqrt
+tables, or, when it is irreducible, its monic form.  These factor keys decide
+the root-separation facts, and one bit per key makes each member's parity mask
+(the two bits of a double root cancel).  The GF(2) elimination that
+is_squarefree_list runs on one list tests these masks for all c of a block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations
 
 import numpy as np
 
-from .errors import ZeroPolynomial
+from .errors import VerificationFailure, ZeroPolynomial
 from .field import Field
-from .gfpoly import (
-    Poly,
-    degree,
-    factorize,
-    normalize,
-    poly_derivative,
-    poly_eval,
-    poly_eval_vec,
-    poly_gcd,
-)
+from .gfpoly import Poly, degree, factorize, normalize, poly_eval_vec
 from .pool import chunked_map
 from .rng import SplitMix64
 
@@ -61,31 +61,38 @@ class SquarefreeResult:
     witness: tuple[int, ...] | None  # 0-based positions whose product is a square
 
 
+def _first_dependency(bits: np.ndarray) -> np.ndarray:
+    """For each row of (n, m) parity masks, the mask of list members that first
+    multiply to a square: the dependency of the shortest dependent prefix, which
+    is unique; 0 where the row is independent.  A pivot carries its parity bits
+    above bit m and its member bits below (int64 rows need m plus the parity
+    width under 63 bits; object rows have no limit).  The basis stays reduced (a
+    pivot's key bit is set in no other pivot), so a member is reduced in one
+    step by the pivots whose key bits it has."""
+    n, m = bits.shape
+    piv, key, seen = (np.zeros_like(bits) for _ in range(3))
+    for j in range(m):
+        v = bits[:, j] << m | 1 << j
+        v ^= np.bitwise_xor.reduce(piv * ((v[:, None] & key) != 0), axis=1)
+        top = v >> m
+        low = (top & -top) << m
+        piv ^= v[:, None] * ((piv & low[:, None]) != 0)
+        piv[:, j], key[:, j], seen[:, j] = v, low, v
+    dep = seen >> m == 0
+    return np.where(dep.any(axis=1), seen[np.arange(n), dep.argmax(axis=1)], 0)
+
+
 def is_squarefree_list(F: Field, polys: list[Poly]) -> SquarefreeResult:
-    """GF(2) independence test of factor-multiplicity parity vectors."""
+    """GF(2) independence test of factor-multiplicity parity vectors, by factorize."""
     columns: dict[Poly, int] = {}
-    pivots: dict[int, tuple[int, int]] = {}
+    bits = []
     for idx, p in enumerate(polys):
         if not normalize(p):
             raise ZeroPolynomial(f"list entry {idx} is the zero polynomial")
-        bits = 0
-        for irr, mult in factorize(F, p).factors:
-            if mult % 2:
-                col = columns.setdefault(irr, len(columns))
-                bits |= 1 << col
-        mask = 1 << idx
-        while bits:
-            top = bits.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = (bits, mask)
-                break
-            pb, pm = pivots[top]
-            bits ^= pb
-            mask ^= pm
-        else:
-            witness = tuple(i for i in range(idx + 1) if (mask >> i) & 1)
-            return SquarefreeResult(False, witness)
-    return SquarefreeResult(True, None)
+        bits.append(sum(1 << columns.setdefault(irr, len(columns))
+                        for irr, mult in factorize(F, p).factors if mult % 2))
+    w = int(_first_dependency(np.array([bits], dtype=object))[0]) if bits else 0
+    return SquarefreeResult(not w, tuple(i for i in range(len(polys)) if w >> i & 1) or None)
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,14 @@ SLICE_POLYS: dict[str, tuple[tuple[int, ...], ...]] = {
 }
 
 
+def table_coeffs(F: Field, name: str, Y: np.ndarray) -> list[np.ndarray]:
+    """The coefficients of SLICE_POLYS[name] as a polynomial in x at y = Y (codes)."""
+    return [poly_eval_vec(F, tuple(map(F.embed, row)), Y) for row in SLICE_POLYS[name]]
+
+
 def table_eval(F: Field, name: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """SLICE_POLYS[name] at (X, Y), for code arrays that broadcast together."""
-    rows = SLICE_POLYS[name]
-    return poly_eval_vec(F, [poly_eval_vec(F, tuple(map(F.embed, row)), Y) for row in rows], X)
+    return poly_eval_vec(F, table_coeffs(F, name, Y), X)
 
 
 # each label names its condition by the first polynomial (or value set) it
@@ -164,35 +175,29 @@ _COND_POLYS: dict[str, tuple[tuple[int, ...], ...]] = {
     "x3-x2+2x-1": ((-1, 2, -1, 1), (-1, 1, -2, 1)),
     "x3-2x2+3x-1": ((-1, 3, -2, 1), (-1, 2, -3, 1)),
 }
+# the excluded values and, when p != 3, the third ratios, as integer fractions
+_EXCLUDED = ((-1, 1), (0, 1), (1, 1), (1, 2), (2, 1))
+_THIRD_RATIOS = ((-1, 3), (-3, 1), (2, 3), (3, 2), (1, 3), (3, 1), (4, 3), (3, 4))
 
 CONDITION_LABELS = ("excluded-values", *_COND_POLYS, "third-ratios")
 
 
+def _failed_conditions(F: Field, cs: np.ndarray) -> np.ndarray:
+    """(len(cs), 10) booleans: entry [i, j] says cs[i] fails CONDITION_LABELS[j]."""
+    def values(fracs):
+        return [F.div(F.embed(u), F.embed(v)) for u, v in fracs]
+
+    return np.stack(
+        [np.isin(cs, values(_EXCLUDED))]
+        + [np.logical_or.reduce([poly_eval_vec(F, tuple(map(F.embed, p)), cs) == 0
+                                 for p in polys]) for polys in _COND_POLYS.values()]
+        + [np.isin(cs, values(_THIRD_RATIOS) if F.p != 3 else [])], axis=-1)
+
+
 def slice_param_admissible(F: Field, c: int) -> tuple[bool, list[str]]:
     """Evaluate the ten slice-parameter conditions; returns (ok, failed labels)."""
-    failed = []
-    two = F.embed(2)
-    if c in {F.embed(-1), 0, 1, F.inv(two), two}:
-        failed.append("excluded-values")
-    for label, polys in _COND_POLYS.items():
-        if any(poly_eval(F, tuple(map(F.embed, p)), c) == 0 for p in polys):
-            failed.append(label)
-    if F.p != 3:
-        three = F.embed(3)
-        four = F.embed(4)
-        ratios = {
-            F.neg(F.inv(three)),
-            F.neg(three),
-            F.div(two, three),
-            F.div(three, two),
-            F.inv(three),
-            three,
-            F.div(four, three),
-            F.div(three, four),
-        }
-        if c in ratios:
-            failed.append("third-ratios")
-    failed.sort(key=CONDITION_LABELS.index)
+    failed = [label for label, bad in
+              zip(CONDITION_LABELS, _failed_conditions(F, np.array([c]))[0]) if bad]
     return not failed, failed
 
 
@@ -207,19 +212,73 @@ def slice_param_ok(F: Field, c: int | np.ndarray) -> bool | np.ndarray:
 
 def slice_poly_list(F: Field, c: int) -> list[Poly]:
     """The 15 fixed polynomials in x at parameter c: SLICE_POLYS at y = c."""
-    return [normalize([poly_eval(F, tuple(map(F.embed, row)), c) for row in rows])
-            for rows in SLICE_POLYS.values()]
+    return [normalize(int(a[0]) for a in table_coeffs(F, name, np.array([c])))
+            for name in SLICE_POLYS]
+
+
+_QUADRATIC = {name: i for i, (name, rows) in enumerate(SLICE_POLYS.items()) if len(rows) == 3}
+# R(c): the roots of the linear members other than x and x - 1
+_R_ROWS = [i for i, rows in enumerate(SLICE_POLYS.values()) if len(rows) == 2][2:]
+
+
+def _slice_factors(F: Field, cs: np.ndarray) -> tuple[dict, np.ndarray]:
+    """The fixed list at each c of cs: its coefficients by name, and (len(cs), 15, 2)
+    factor keys.  A linear member has its root and -1; a quadratic has its two roots
+    (equal at a double root) if it splits, else q + q*a0/(2*a2) + a1/(2*a2), which
+    names its monic form, and -1."""
+    coef = {name: table_coeffs(F, name, cs) for name in SLICE_POLYS}
+    keys = np.full((len(cs), len(coef), 2), -1)
+    two, four = F.embed(2), F.embed(4)
+    for i, (name, (a0, a1, *a2)) in enumerate(coef.items()):
+        lead = (a2 or [a1])[0]
+        if not lead.all():  # else vinv(0) = 0 would give a root
+            raise VerificationFailure(f"{name} loses degree at c={cs[lead == 0][0]}")
+        if not a2:
+            keys[:, i, 0] = F.vmul(F.vneg(a0), F.vinv(a1))
+            continue
+        disc = F.vsub(F.vmul(a1, a1), F.vmul(four, F.vmul(a0, lead)))
+        split, s, inv = F.chi_table[disc] >= 0, F.sqrt_table[disc], F.vinv(F.vmul(two, lead))
+        irreducible = F.q * (1 + F.vmul(a0, inv)) + F.vmul(a1, inv)
+        keys[:, i, 0] = np.where(split, F.vmul(F.vsub(s, a1), inv), irreducible)
+        keys[:, i, 1] = np.where(split, F.vmul(F.vsub(F.vneg(s), a1), inv), -1)
+    return coef, keys
 
 
 def r_set(F: Field, c: int) -> list[int]:
     """Roots of the seven degree-one members of the fixed list (with duplicates)."""
-    return _roots(F, dict(zip(SLICE_POLYS, slice_poly_list(F, c))))
+    return _slice_factors(F, np.array([c]))[1][0, _R_ROWS, 0].tolist()
 
 
-def _roots(F: Field, polys: dict[str, Poly]) -> list[int]:
-    linear = ("x-y", "x-1-y", "x+1-y", "x-xy-y", "x+xy-y", "g2", "g4")
-    # a member whose x coefficient vanishes at c has no root: DivisionByZero
-    return [F.div(F.neg(a0), a1) for a0, a1 in ((*polys[name], 0)[:2] for name in linear)]
+def _slice_list_violations(F: Field, cs: np.ndarray) -> list[str]:
+    """Square-freeness of the fixed list, |R(c)| = 7, double roots, quadratics
+    vanishing on R(c) and roots shared by f_i, f_j at each c of cs (all at once).
+    A member's parity mask XORs one bit per factor key, so a double root cancels."""
+    coef, keys = _slice_factors(F, cs)
+    flat = keys.reshape(len(cs), 2 * len(coef))
+    col = np.argmax(flat[:, :, None] == flat[:, None, :], axis=2).reshape(keys.shape)
+    witness = _first_dependency(
+        np.bitwise_xor.reduce(np.where(keys >= 0, 1 << col, 0), axis=2))
+    roots = keys[:, _R_ROWS, 0]
+    quad = {name: keys[:, i] for name, i in _QUADRATIC.items()}
+    checks = [("list not square-free at c={c}: {w}", witness != 0),
+              ("|R(c)| != 7 at c={c}", (np.diff(np.sort(roots), axis=1) == 0).any(axis=1))]
+    checks += [(f"double root in {name} at c={{c}}", k[:, 0] == k[:, 1])
+               for name, k in quad.items()]
+    checks += [(f"{name} vanishes on R(c) at c={{c}}",
+                (poly_eval_vec(F, [a[:, None] for a in coef[name]], roots) == 0).any(axis=1))
+               for name in _QUADRATIC]
+    for i, j in combinations(range(1, 5), 2):
+        ki, kj = quad[f"f{i}"][:, :, None], quad[f"f{j}"][:, None, :]
+        checks.append((f"f{i}/f{j} share a root at c={{c}}",
+                       ((ki == kj) & (ki >= 0)).any(axis=(1, 2))))
+    out = []
+    for i in np.flatnonzero(np.logical_or.reduce([hit for _, hit in checks])):
+        w = tuple(j for j in range(len(SLICE_POLYS)) if witness[i] >> j & 1)
+        out += [text.format(c=cs[i], w=w) for text, hit in checks if hit[i]]
+    return out
+
+
+SLICE_BLOCK = 256  # parameters c per numpy pass of verify_slice_lists
 
 
 @dataclass
@@ -235,49 +294,22 @@ class SliceListReport:
         return not self.violations
 
 
-def _root_separation_violations(F: Field, c: int, polys: dict[str, Poly],
-                                roots: list[int]) -> list[str]:
-    """Consequence checks at an admissible c: double roots, R(c) hits, shared roots."""
-    out = []
-    names = ("g1", "g3", "f1", "f2", "f3", "f4")
-    for name in names:
-        p = polys[name]
-        if degree(poly_gcd(F, p, poly_derivative(F, p))) > 0:
-            out.append(f"double root in {name} at c={c}")
-    for name in names:
-        if any(poly_eval(F, polys[name], r) == 0 for r in roots):
-            out.append(f"{name} vanishes on R(c) at c={c}")
-    for i in range(1, 5):
-        for j in range(i + 1, 5):
-            if degree(poly_gcd(F, polys[f"f{i}"], polys[f"f{j}"])) > 0:
-                out.append(f"f{i}/f{j} share a root at c={c}")
-    return out
-
-
 def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
     F, cs = args
     rep = SliceListReport(F.q)
-    for c in cs:
-        adm, _failed = slice_param_admissible(F, c)
-        if not adm:
-            rep.inadmissible_count += 1
-            rep.inadmissible_slice_param_count += bool(slice_param_ok(F, c))
-            continue
-        rep.admissible_count += 1
-        polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
-        res = is_squarefree_list(F, list(polys.values()))
-        if not res.squarefree:
-            rep.violations.append(f"list not square-free at c={c}: {res.witness}")
-        roots = _roots(F, polys)
-        if len(set(roots)) != 7:
-            rep.violations.append(f"|R(c)| != 7 at c={c}")
-        rep.violations.extend(_root_separation_violations(F, c, polys, roots))
+    for lo in range(0, len(cs), SLICE_BLOCK):
+        block = np.asarray(cs[lo:lo + SLICE_BLOCK], dtype=np.int64)
+        adm = ~_failed_conditions(F, block).any(axis=1)
+        rep.admissible_count += int(adm.sum())
+        rep.inadmissible_count += int((~adm).sum())
+        rep.inadmissible_slice_param_count += int(slice_param_ok(F, block[~adm]).sum())
+        rep.violations += _slice_list_violations(F, block[adm])
     return rep
 
 
 def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
     """Square-freeness of the fixed list, |R(c)| = 7 and the root-separation
-    consequences at every admissible c."""
+    consequences at every admissible c, in blocks of SLICE_BLOCK parameters."""
     rep = SliceListReport(F.q)
     for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
         rep.admissible_count += part.admissible_count

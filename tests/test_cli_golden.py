@@ -29,6 +29,7 @@ COMMANDS = [  # (argv, exit code)
     ("slices --q 243", EXIT_OK),
     ("slices --q 27 --format json", EXIT_OK),
     ("verify --suite charset --qmax 31", EXIT_OK),
+    ("verify --suite thm31 --qmax 199", EXIT_OK),
     ("verify --suite slices --qmax 49", EXIT_OK),
     ("verify --suite partitions --qmax 31", EXIT_OK),
     ("search --q 343 --seed 3", EXIT_OK),

@@ -1,11 +1,21 @@
+import functools
+import operator
+import random
+import tracemalloc
+from collections import Counter
 from dataclasses import asdict
+from itertools import combinations
 
+import numpy as np
 import pytest
 
-from mnaq.errors import ZeroPolynomial
-from mnaq.gfpoly import poly_eval, poly_mul
+from mnaq import weil
+from mnaq.cli import EXIT_VERIFY, main
+from mnaq.errors import VerificationFailure, ZeroPolynomial
+from mnaq.gfpoly import degree, factorize, poly_derivative, poly_eval, poly_gcd, poly_mul
 from mnaq.rng import SplitMix64
 from mnaq.weil import (
+    CONDITION_LABELS,
     SLICE_POLYS,
     PolySpec,
     count_sign_pattern,
@@ -139,10 +149,14 @@ def test_verify_slice_lists_clean(q):
     assert rep.inadmissible_count - 1 <= 51
 
 
-@pytest.mark.parametrize("q", [27, 49])
+ADMISSIBLE_C = {27: 12, 49: 18, 243: 240, 1009: 970}
+
+
+@pytest.mark.parametrize("q", ADMISSIBLE_C)
 def test_verify_slice_lists_jobs_match_serial(q):
     F = field(q)
     serial = verify_slice_lists(F, jobs=1)
+    assert serial.admissible_count == ADMISSIBLE_C[q]
     assert asdict(verify_slice_lists(F, jobs=2)) == asdict(serial)
 
 
@@ -178,3 +192,151 @@ def test_inadmissible_single_condition_status_recorded():
     status = is_squarefree_list(F, slice_poly_list(F, c))
     print(f"q=29 c={c} fails only x2-3x+1; square-free: {status.squarefree}")
     assert status.squarefree in (True, False)
+
+
+# ----------------------------------------------------------------------
+# The per-c polynomial route, kept here as the oracle of the block pass
+# ----------------------------------------------------------------------
+
+QUADRATIC = ("g1", "g3", "f1", "f2", "f3", "f4")
+R_NAMES = ("x-y", "x-1-y", "x+1-y", "x-xy-y", "x+xy-y", "g2", "g4")
+FULL_DEGREES = [len(rows) - 1 for rows in SLICE_POLYS.values()]
+
+
+def oracle_dependency(rows):
+    """Positions of the first GF(2)-dependent prefix of the int masks rows, or None."""
+    pivots = {}
+    for idx, bits in enumerate(rows):
+        mask = 1 << idx
+        while bits:
+            top = bits.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = (bits, mask)
+                break
+            bits ^= pivots[top][0]
+            mask ^= pivots[top][1]
+        else:
+            return tuple(i for i in range(idx + 1) if mask >> i & 1)
+    return None
+
+
+def oracle_witness(F, polys):
+    """oracle_dependency of the factor-parity vectors, by factorize."""
+    columns = {}
+    return oracle_dependency([sum(1 << columns.setdefault(irr, len(columns))
+                                  for irr, mult in factorize(F, p).factors if mult % 2)
+                              for p in polys])
+
+
+@pytest.mark.parametrize("m,width,ands", [(4, 6, 3), (15, 20, 3), (15, 30, 3), (6, 70, 4)])
+def test_first_dependency_matches_prefix_elimination(m, width, ands):
+    # masks ANDed from several random ones, so that some rows are dependent
+    rnd = random.Random(m * width)
+    rows = [[functools.reduce(operator.and_, (rnd.getrandbits(width) for _ in range(ands)))
+             for _ in range(m)] for _ in range(300)]
+    got = weil._first_dependency(np.array(rows, dtype=np.int64 if width < 40 else object))
+    want = [oracle_dependency(row) for row in rows]
+    assert [tuple(i for i in range(m) if w >> i & 1) or None for w in got] == want
+    assert None in want and any(want)
+
+
+def oracle_violations(F, c):
+    polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
+    out = []
+    witness = oracle_witness(F, list(polys.values()))
+    if witness:
+        out.append(f"list not square-free at c={c}: {witness}")
+    roots = [F.div(F.neg(polys[name][0]), polys[name][1]) for name in R_NAMES]
+    if len(set(roots)) != 7:
+        out.append(f"|R(c)| != 7 at c={c}")
+    for name in QUADRATIC:
+        p = polys[name]
+        if degree(poly_gcd(F, p, poly_derivative(F, p))) > 0:
+            out.append(f"double root in {name} at c={c}")
+    for name in QUADRATIC:
+        if any(poly_eval(F, polys[name], r) == 0 for r in roots):
+            out.append(f"{name} vanishes on R(c) at c={c}")
+    for i, j in combinations(range(1, 5), 2):
+        if degree(poly_gcd(F, polys[f"f{i}"], polys[f"f{j}"])) > 0:
+            out.append(f"f{i}/f{j} share a root at c={c}")
+    return out
+
+
+VIOLATION_KINDS = ("not square-free", "|R(c)| != 7", "double root", "vanishes on R(c)",
+                   "share a root")
+ORACLE_FIELDS = (11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 49, 81, 125, 243)
+
+
+def test_slice_list_checks_match_the_polynomial_route_past_admissibility():
+    # every c where the 15 members keep full degree, admissible or not, so
+    # that every kind of violation occurs
+    kinds, n_params = Counter(), 0
+    for q in ORACLE_FIELDS:
+        F = field(q)
+        cs = [c for c in range(q) if [degree(p) for p in slice_poly_list(F, c)] == FULL_DEGREES]
+        want = [v for c in cs for v in oracle_violations(F, c)]
+        assert weil._slice_list_violations(F, np.array(cs)) == want, q
+        kinds.update(next(k for k in VIOLATION_KINDS if k in v) for v in want)
+        n_params += len(cs)
+    assert n_params == 769
+    assert kinds == dict(zip(VIOLATION_KINDS, (189, 87, 109, 368, 143)))
+
+
+def test_r_set_is_the_linear_roots():
+    F = field(29)
+    for c in range(29):
+        polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
+        if [degree(p) for p in polys.values()] == FULL_DEGREES:
+            assert r_set(F, c) == [F.div(F.neg(polys[n][0]), polys[n][1]) for n in R_NAMES]
+
+
+def test_lost_degree_at_an_admitted_c_raises(monkeypatch, capsys):
+    # at c = 1, x - xy - y has no x term and f4 no x^2 term; let c = 1 through
+    monkeypatch.setattr(weil, "_failed_conditions",
+                        lambda F, cs: np.zeros((len(cs), len(CONDITION_LABELS)), dtype=bool))
+    with pytest.raises(VerificationFailure, match="c=1"):
+        verify_slice_lists(field(13))
+    with pytest.raises(VerificationFailure):
+        r_set(field(13), 1)
+    assert main(["verify", "--suite", "thm31", "--qmax", "13"]) == EXIT_VERIFY
+    assert "loses degree" in capsys.readouterr().err
+
+
+def test_verify_slice_lists_memory_is_one_block():
+    F = field(3001)
+    verify_slice_lists(F)  # the lazy field tables, outside the traced window
+    tracemalloc.start()
+    try:
+        verify_slice_lists(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6  # one pass over all 3001 c peaks at about 5 MB
+
+
+def scalar_admissible(F, c):
+    """The ten conditions one c at a time, by scalar field arithmetic."""
+    failed = []
+    two = F.embed(2)
+    if c in {F.embed(-1), 0, 1, F.inv(two), two}:
+        failed.append("excluded-values")
+    for label, polys in weil._COND_POLYS.items():
+        if any(poly_eval(F, tuple(map(F.embed, p)), c) == 0 for p in polys):
+            failed.append(label)
+    if F.p != 3:
+        three, four = F.embed(3), F.embed(4)
+        ratios = {F.neg(F.inv(three)), F.neg(three), F.div(two, three), F.div(three, two),
+                  F.inv(three), three, F.div(four, three), F.div(three, four)}
+        if c in ratios:
+            failed.append("third-ratios")
+    return failed
+
+
+@pytest.mark.parametrize("q", [11, 13, 25, 27, 29, 49, 125, 1009])
+def test_admissibility_labels_match_the_scalar_rule(q):
+    F = field(q)
+    table = weil._failed_conditions(F, F.codes)
+    for c in range(q):
+        failed = scalar_admissible(F, c)
+        assert [label for label, bad in zip(CONDITION_LABELS, table[c]) if bad] == failed
+        assert slice_param_admissible(F, c) == (not failed, failed)
