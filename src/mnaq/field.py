@@ -18,12 +18,13 @@ A prime field keeps % arithmetic, marks chi at u*u for every nonzero u, and
 builds its log tables on first use.  The counters' character sums add powers of g
 as Field.log_digits rows: on an extension field, k base-p digits packed in one
 int64 that add without a carry, read by one table lookup per group of digits.
+gfpoly's kernels add Field.lifts, the same digits packed in Python integers.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -130,6 +131,7 @@ def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 LOG_BLOCK = 1024  # digit rows per step of the antilog fill
 LOG_DIGIT_TILES = 3  # copies of the antilog in Field.log_digits: the largest degree
 SUM_TERMS = 4  # columns of log_digits a sum read by Field.chi_of_sum may add up
+LIFT_ROWS = 64  # rows of products gfpoly adds to a sum of Field.lifts between read-backs
 
 
 def packed_bits(p: int) -> int:
@@ -306,9 +308,32 @@ class Field:
         return read_only(self.chi_table[self.vsub(1, self.codes)])[0]
 
     @cached_property
-    def _log_lists(self) -> tuple[list[int], list[int]]:
-        """logs as lists, for the scalar mul/inv/pow; built on first scalar use."""
-        return self.logs[0].tolist(), self.logs[1].tolist()
+    def _log_lists(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """logs as tuples, for the scalar mul/inv/pow; built on first scalar use."""
+        return tuple(self.logs[0].tolist()), tuple(self.logs[1].tolist())
+
+    @cached_property
+    def lifts(self) -> tuple[tuple[int, ...], tuple[int, ...], Callable[[int], int]]:
+        """(log, ex, back) for gfpoly's log-domain kernels, built on first use.  ex[e]
+        is the lift of g^e for e below 3(q-1), and ex[log[0]] = ex[-1] = 0.  A lift is
+        the code on a prime field, else the code's k base-p digits in bit slots wide
+        enough that a sum of 2*LIFT_ROWS lifts carries nothing.  back reads a sum of
+        lifts as a code: % q, or each slot mod p."""
+        log, antilog = self._log_lists
+        p, places = self.p, self._places
+        if self.k == 1:
+            return log, antilog * 3 + (0,), self.q.__rmod__
+        bits = (2 * LIFT_ROWS * (p - 1)).bit_length()
+        mask = (1 << bits) - 1
+        lift = sum((self.logs[1] // u % p).astype(object) << bits * i for i, u in enumerate(places))
+
+        def back(s: int) -> int:
+            out = 0
+            for u in places:
+                out, s = out + (s & mask) % p * u, s >> bits
+            return out
+
+        return log, tuple(lift.tolist()) * 3 + (0,), back
 
     # -- vectorized arithmetic on int64 code arrays ----------------------------
 

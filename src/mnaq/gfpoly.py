@@ -1,20 +1,24 @@
 """Dense univariate polynomial arithmetic and factorization over a Field.
 
 Polynomials are tuples of element codes, constant term first, with no
-trailing zeros; () is the zero polynomial.  Factorization runs square-free
-decomposition, then distinct-degree splitting, then Cantor-Zassenhaus
-equal-degree splitting driven by a fixed-seed SplitMix64 stream, so the
-same input always factors the same way.
+trailing zeros; () is the zero polynomial.  Multiplication, division and
+modular powers run in the log domain on Field.lifts, one code path for both
+field kinds: a product of coefficients is one lookup ex[log a + log b], and
+sums are integer sums of lifts, read back to a code once per coefficient.
+Factorization runs square-free decomposition, then distinct-degree splitting,
+then Cantor-Zassenhaus equal-degree splitting driven by a fixed-seed
+SplitMix64 stream, so the same input always factors the same way.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
 from .errors import VerificationFailure, ZeroPolynomial
-from .field import Field
+from .field import LIFT_ROWS, Field
 from .rng import SplitMix64
 
 Poly = tuple[int, ...]
@@ -37,39 +41,55 @@ def degree(p: Poly) -> int:
 
 
 def poly_add(F: Field, a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else 0
-        bi = b[i] if i < len(b) else 0
-        out.append(F.add(ai, bi))
-    return normalize(out)
-
-
-def poly_neg(F: Field, a: Poly) -> Poly:
-    return tuple(F.neg(c) for c in a)
+    return normalize(F.add(u, v) for u, v in zip_longest(a, b, fillvalue=0))
 
 
 def poly_sub(F: Field, a: Poly, b: Poly) -> Poly:
-    return poly_add(F, a, poly_neg(F, b))
+    return normalize(F.sub(u, v) for u, v in zip_longest(a, b, fillvalue=0))
 
 
-def poly_scale(F: Field, c: int, a: Poly) -> Poly:
-    if c == 0:
-        return ()
-    return normalize([F.mul(c, x) for x in a])
+def _product(F: Field, a: Poly, b: Poly) -> list[int]:
+    """The coefficients of a*b, for nonzero a and b, as sums of lifts."""
+    log, ex, back = F.lifts
+    if len(a) > len(b):
+        a, b = b, a
+    lb = [(j, log[c]) for j, c in enumerate(b) if c]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            x = log[c]
+            for j, y in lb:
+                out[i + j] += ex[x + y]
+        if i % LIFT_ROWS == LIFT_ROWS - 1:  # read back before a digit slot can carry
+            out = [ex[log[back(s)]] for s in out]
+    return out
 
 
 def poly_mul(F: Field, a: Poly, b: Poly) -> Poly:
     if not a or not b:
         return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
-    return normalize(out)
+    return normalize(map(F.lifts[2], _product(F, a, b)))
+
+
+def _reduce(F: Field, rem: list[int], b: Poly) -> tuple[list[int], Poly]:
+    """(quotient as lifts, remainder) of rem, sums of lifts, by b: each step reads
+    back the leading coefficient and adds the lifts of -coef/lead(b) times the rest
+    of b."""
+    log, ex, back = F.lifts
+    n, half = len(b) - 1, (F.q - 1) // 2
+    neg_inv = (half - log[b[-1]]) % (F.q - 1)  # the log of -1/lead(b)
+    lb = [(i, log[c]) for i, c in enumerate(b[:n]) if c]
+    quot = [0] * max(len(rem) - n, 0)
+    for s in range(len(rem) - 1 - n, -1, -1):
+        coef = back(rem[s + n])
+        if coef:
+            x = log[coef] + neg_inv
+            quot[s] = ex[x + half]
+            for i, y in lb:
+                rem[s + i] += ex[x + y]
+        if s % LIFT_ROWS == LIFT_ROWS - 1:
+            rem = [ex[log[back(r)]] for r in rem]
+    return quot, normalize(map(back, rem[:n]))
 
 
 def poly_divmod(F: Field, a: Poly, b: Poly) -> tuple[Poly, Poly]:
@@ -77,18 +97,9 @@ def poly_divmod(F: Field, a: Poly, b: Poly) -> tuple[Poly, Poly]:
         raise ZeroPolynomial("division by the zero polynomial")
     if len(a) < len(b):
         return (), a
-    inv_lead = F.inv(b[-1])
-    rem = list(a)
-    quot = [0] * (len(a) - len(b) + 1)
-    for shift in range(len(a) - len(b), -1, -1):
-        coef = rem[shift + len(b) - 1]
-        if coef:
-            factor = F.mul(coef, inv_lead)
-            quot[shift] = factor
-            for i, bi in enumerate(b):
-                if bi:
-                    rem[shift + i] = F.sub(rem[shift + i], F.mul(factor, bi))
-    return normalize(quot), normalize(rem)
+    log, ex, back = F.lifts
+    quot, rem = _reduce(F, [ex[log[c]] for c in a], b)
+    return normalize(map(back, quot)), rem
 
 
 def poly_mod(F: Field, a: Poly, b: Poly) -> Poly:
@@ -103,11 +114,10 @@ def poly_div(F: Field, a: Poly, b: Poly) -> Poly:
 
 
 def monic(F: Field, a: Poly) -> Poly:
-    if not a:
+    if not a or a[-1] == 1:
         return a
-    if a[-1] == 1:
-        return a
-    return poly_scale(F, F.inv(a[-1]), a)
+    inv = F.inv(a[-1])
+    return tuple(F.mul(inv, x) for x in a)
 
 
 def poly_gcd(F: Field, a: Poly, b: Poly) -> Poly:
@@ -117,21 +127,26 @@ def poly_gcd(F: Field, a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow_mod(F: Field, base: Poly, e: int, mod: Poly) -> Poly:
-    out: Poly = ONE
-    base = poly_mod(F, base, mod)
+    """base^e mod mod by squaring and multiplying; each step reduces the product's
+    sums of lifts in the same pass, with no read-back in between."""
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    out, base = poly_mod(F, ONE, mod), poly_mod(F, base, mod)
+
+    def mul_mod(a: Poly, b: Poly) -> Poly:
+        return _reduce(F, _product(F, a, b), mod)[1] if a and b else ()
+
     while e:
         if e & 1:
-            out = poly_mod(F, poly_mul(F, out, base), mod)
-        base = poly_mod(F, poly_mul(F, base, base), mod)
+            out = mul_mod(out, base)
         e >>= 1
+        if e:
+            base = mul_mod(base, base)
     return out
 
 
 def poly_derivative(F: Field, a: Poly) -> Poly:
-    out = []
-    for i in range(1, len(a)):
-        out.append(F.mul(F.embed(i), a[i]))
-    return normalize(out)
+    return normalize(F.mul(F.embed(i), a[i]) for i in range(1, len(a)))
 
 
 def poly_eval(F: Field, a: Poly, x: int) -> int:

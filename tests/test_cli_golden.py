@@ -4,8 +4,10 @@ Each command runs in-process through cli.main; its stdout, with every
 `seconds` value masked, must equal tests/fixtures/cli/<name>.out, and its
 stderr tests/fixtures/cli/<name>.err (empty when that file is absent).
 After a deliberate change of output, rewrite the fixtures with
-`PYTHONPATH=src python tests/test_cli_golden.py`; it writes nothing unless
-every command exits with its code in COMMANDS.
+`PYTHONPATH=src python tests/test_cli_golden.py`, or only some of them by
+naming their argv strings, as in
+`PYTHONPATH=src python tests/test_cli_golden.py "verify --suite weil --qmax 49"`;
+it writes nothing unless every command it runs exits with its code in COMMANDS.
 """
 
 import contextlib
@@ -32,6 +34,7 @@ COMMANDS = [  # (argv, exit code)
     ("verify --suite thm31 --qmax 199", EXIT_OK),
     ("verify --suite slices --qmax 49", EXIT_OK),
     ("verify --suite partitions --qmax 31", EXIT_OK),
+    ("verify --suite weil --qmax 49", EXIT_OK),
     ("search --q 343 --seed 3", EXIT_OK),
     ("count --q 12", EXIT_USAGE),
 ]
@@ -79,7 +82,12 @@ def test_mask_seconds_masks_only_seconds():
 
 
 if __name__ == "__main__":
-    results = [(argv, exit_code, *run(argv)) for argv, exit_code in COMMANDS]
+    known = dict(COMMANDS)
+    unknown = [argv for argv in sys.argv[1:] if argv not in known]
+    if unknown:
+        sys.exit("not in COMMANDS: " + ", ".join(unknown))
+    chosen = sys.argv[1:] or list(known)
+    results = [(argv, known[argv], *run(argv)) for argv in chosen]
     wrong = [f"{argv}: exit {code}, expected {exit_code}"
              for argv, exit_code, code, _, _ in results if code != exit_code]
     if wrong:

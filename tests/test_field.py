@@ -1,4 +1,6 @@
+import multiprocessing
 import zlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -251,9 +253,23 @@ def test_field_tables_read_only(q):
     F = field(q)
     rows, _, tables = F.log_digits
     for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, *orbit_slices(F),
-                  F.chi_one_minus):
-        with pytest.raises(ValueError):
+                  F.chi_one_minus, *F._log_lists, *F.lifts[:2]):
+        with pytest.raises((ValueError, TypeError)):  # read-only arrays, or tuples
             table[1] = 0
+
+
+def _lifts_in_worker(F):
+    return "lifts" in vars(F), F.lifts[:2]
+
+
+def test_lifts_are_lazy_and_rebuilt_in_a_worker():
+    fields = [make_field(13), make_field(81)]
+    assert not any("lifts" in vars(F) or "_log_lists" in vars(F) for F in fields)
+    tables = [F.lifts[:2] for F in fields]
+    # the pool pickles each F by Field.__reduce__: the worker's copy has no tables
+    # until it uses them
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert list(pool.map(_lifts_in_worker, fields)) == [(False, t) for t in tables]
 
 
 @pytest.mark.parametrize("q", [13, 27, 125])

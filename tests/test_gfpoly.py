@@ -2,6 +2,8 @@ import pytest
 
 from mnaq.errors import ZeroPolynomial
 from mnaq.gfpoly import (
+    ONE,
+    X,
     degree,
     factorize,
     monic,
@@ -55,6 +57,25 @@ def test_pow_mod():
     mod = (1, 0, 1)  # x^2 + 1, irreducible over F_7
     # x^(q^2) = x mod any irreducible quadratic
     assert poly_pow_mod(F, (0, 1), 7**2, mod) == (0, 1)
+
+
+def test_pow_mod_rejects_a_negative_exponent():
+    class NoLoop(int):  # an exponent the square-and-multiply loop cannot use
+        def __and__(self, other):
+            raise AssertionError("the loop ran")
+
+        __rshift__ = __and__
+
+    with pytest.raises(ValueError):
+        poly_pow_mod(field(7), X, NoLoop(-1), (1, 0, 1))
+
+
+def test_pow_mod_reduces_every_result():
+    F = field(7)
+    assert poly_pow_mod(F, X, 0, (1, 0, 1)) == ONE
+    assert poly_pow_mod(F, X, 0, (3,)) == ()  # x^0 mod a unit
+    assert poly_pow_mod(F, X, 1, (3,)) == ()
+    assert poly_pow_mod(F, (5,), 0, (2, 1)) == ONE
 
 
 def test_derivative_char_p():
@@ -125,3 +146,88 @@ def test_irreducible_factors_have_no_roots_when_deg2():
         for poly, _ in factorize(F, p).factors:
             if degree(poly) == 2:
                 assert all(poly_eval(F, poly, x) != 0 for x in range(27))
+
+
+# The field-op route of the log-domain kernels' predecessors: every coefficient
+# operation a Field.add/sub/mul call.  An independent oracle for the kernels.
+
+def oracle_mul(F, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = F.add(out[i + j], F.mul(ai, bj))
+    return normalize(out)
+
+
+def oracle_divmod(F, a, b):
+    if len(a) < len(b):
+        return (), a
+    inv_lead = F.inv(b[-1])
+    rem = list(a)
+    quot = [0] * (len(a) - len(b) + 1)
+    for shift in range(len(a) - len(b), -1, -1):
+        coef = rem[shift + len(b) - 1]
+        if coef:
+            factor = F.mul(coef, inv_lead)
+            quot[shift] = factor
+            for i, bi in enumerate(b):
+                if bi:
+                    rem[shift + i] = F.sub(rem[shift + i], F.mul(factor, bi))
+    return normalize(quot), normalize(rem)
+
+
+def oracle_pow_mod(F, base, e, mod):
+    out = oracle_divmod(F, ONE, mod)[1]
+    base = oracle_divmod(F, base, mod)[1]
+    while e:
+        if e & 1:
+            out = oracle_divmod(F, oracle_mul(F, out, base), mod)[1]
+        base = oracle_divmod(F, oracle_mul(F, base, base), mod)[1]
+        e >>= 1
+    return out
+
+
+def operand(q, rng, length):
+    """A polynomial of the given length: about a third of the coefficients below
+    the top are zero, and the top one is any nonzero code, so rarely monic."""
+    if not length:
+        return ()
+    low = [0 if rng.below(3) == 0 else 1 + rng.below(q - 1) for _ in range(length - 1)]
+    return tuple(low) + (1 + rng.below(q - 1),)
+
+
+@pytest.mark.parametrize("q", [3, 7, 13, 1009, 10009, 9, 25, 27, 243, 2187, 3**10])
+def test_kernels_match_the_field_op_route(q):
+    F = field(q)
+    rng = SplitMix64(0x0AC1E ^ q)
+    for _ in range(40):
+        a, b = operand(q, rng, rng.below(10)), operand(q, rng, rng.below(7))
+        assert poly_mul(F, a, b) == oracle_mul(F, a, b)
+        if b:
+            assert poly_divmod(F, a, b) == oracle_divmod(F, a, b)
+    for d in (1, 2, 3):
+        mod, base = operand(q, rng, d + 1), operand(q, rng, 2 * d + 2)
+        for e in (0, 1, q, (q**d - 1) // 2):
+            assert poly_pow_mod(F, base, e, mod) == oracle_pow_mod(F, base, e, mod)
+
+
+@pytest.mark.parametrize("q", [9, 27])
+def test_long_operands_never_carry_between_digit_slots(q):
+    # hundreds of lifts add up in one coefficient, each with every base-3 digit 2
+    # where it can be arranged, so a digit slot overflows unless read back in time
+    F = field(q)
+    rng = SplitMix64(0x5107 ^ q)
+    long, quad = operand(q, rng, 320), operand(q, rng, 3)
+    assert poly_divmod(F, long, quad) == oracle_divmod(F, long, quad)
+    ones, tops = (1,) * 300, (q - 1,) * 300
+    product = poly_mul(F, ones, tops)
+    assert product == oracle_mul(F, ones, tops)
+    # quotient coefficients -(q-1) against a divisor of ones: each step adds q-1
+    quot = (F.neg(q - 1),) * 300
+    assert poly_divmod(F, oracle_mul(F, ones, quot), ones) == (quot, ())
+    mod, base = operand(q, rng, 151), operand(q, rng, 150)
+    assert poly_pow_mod(F, base, 5, mod) == oracle_pow_mod(F, base, 5, mod)

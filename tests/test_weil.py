@@ -183,6 +183,15 @@ def test_weil_trials_small(q):
     assert rep.max_ratio < 1.0
 
 
+@pytest.mark.parametrize("seed,max_ratio", [(1, 0.4171148063128388),
+                                            (0xC0FFEE, 0.419658189278161)])
+def test_weil_trials_pinned_at_1009(seed, max_ratio):
+    # the worst ratio pins every list the trials draw, and the factorizations
+    # that decide which candidates are square-free
+    rep = run_weil_trials(field(1009), 200, seed)
+    assert rep == weil.WeilTrialReport(1009, 200, 0, max_ratio)
+
+
 def test_inadmissible_single_condition_status_recorded():
     # exploratory: the admissibility conditions are one-directional, so at a c
     # violating exactly one condition the list may or may not stay square-free
