@@ -83,21 +83,18 @@ def assoc_eq_holds(
     return holds
 
 
-def assoc_eq_vec(F: Field, pair: SigmaPair, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Vectorized associativity-equation test; U and V broadcast together."""
-    psi_u = psi_vec(F, pair, np.asarray(U, dtype=np.int64))
-    neg_v = F.vneg(np.asarray(V, dtype=np.int64))
-    psi_neg_v = psi_vec(F, pair, neg_v)
-    lhs = psi_vec(F, pair, F.vsub(psi_u, V))
-    rhs = F.vadd(psi_neg_v, psi_vec(F, pair, F.vsub(F.vsub(U, V), psi_neg_v)))
-    return lhs == rhs
+def assoc_eq_vec(F: Field, P: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Vectorized associativity-equation test, psi read from the table P[w] = psi(w)
+    over all of F_q (psi_vec on F.codes); U and V broadcast together."""
+    psi_neg_v = P[F.vneg(np.asarray(V, dtype=np.int64))]
+    lhs = P[F.vsub(P[np.asarray(U, dtype=np.int64)], V)]
+    # u - v - psi(-v) as u - (v + psi(-v)), whose second term lives on V's shape
+    return lhs == F.vadd(psi_neg_v, P[F.vsub(U, F.vadd(V, psi_neg_v))])
 
 
 def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     """Boolean q x q grid G[u, v] of associativity-equation solutions."""
-    U = F.codes[:, None]
-    V = F.codes[None, :]
-    return assoc_eq_vec(F, pair, U, V)
+    return assoc_eq_vec(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.codes[None, :])
 
 
 @dataclass(frozen=True)
@@ -175,9 +172,8 @@ def is_mna_B(F: Field, pair: SigmaPair) -> bool:
 def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
     """Method B on scaling representatives only: u in {1, zeta} with v free,
     plus u = 0 with v in {1, zeta}."""
-    reps = [[1], [least_nonsquare(F)]]
-    return not (assoc_eq_vec(F, pair, reps, F.codes).any()
-                or assoc_eq_vec(F, pair, 0, reps).any())
+    P, reps = psi_vec(F, pair, F.codes), [[1], [least_nonsquare(F)]]
+    return not (assoc_eq_vec(F, P, reps, F.codes).any() or assoc_eq_vec(F, P, 0, reps).any())
 
 
 # ----------------------------------------------------------------------
@@ -297,13 +293,15 @@ def sigma_count(
     method: str = "C",
     jobs: int = 1,
     force: bool = False,
-    pairs: Iterable[SigmaPair] | None = None,
+    pairs: Iterable[SigmaPair] | np.ndarray | None = None,
 ) -> int:
-    """Number of (a, b) in Sigma whose quasigroup is maximally nonassociative."""
+    """Number of (a, b) in Sigma whose quasigroup is maximally nonassociative, over
+    all of Sigma or over pairs (SigmaPairs, or an (n, 2) array of codes)."""
     guard = _METHOD_GUARDS.get(method, None)
     if method not in _METHOD_GUARDS:
         raise ValueError(f"unknown method {method!r}")
     if guard is not None and F.q > guard and not force:
         raise TooLarge(f"method {method} guarded to q <= {guard}")
-    items = np.arange(2, F.q, dtype=np.int64) if pairs is None else list(pairs)
+    items = (np.arange(2, F.q, dtype=np.int64) if pairs is None
+             else pairs if isinstance(pairs, np.ndarray) else list(pairs))
     return sum(chunked_map(_count_chunk, (F, method, force, pairs is None), items, jobs))

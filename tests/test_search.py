@@ -1,16 +1,19 @@
 import re
 
+import numpy as np
 import pytest
 
-from mnaq.assoc import is_mna_B, is_mna_Bscaled
+from mnaq.assoc import PAIR_BLOCK, is_mna_B, is_mna_Bscaled
 from mnaq.errors import SearchExhausted, VerificationFailure
 from mnaq.quasigroup import SigmaPair, is_sigma_pair
 from mnaq.rng import SplitMix64
 from mnaq.search import (
+    SAMPLE_BLOCK,
     SearchCertificate,
     mna_sample_stats,
     sample_sigma_pair,
     search_mna,
+    sigma_blocks,
     verify_certificate,
 )
 
@@ -63,9 +66,91 @@ def test_search_confirmation_rejects_a_pair_method_c_wrongly_accepts(monkeypatch
     seed = next(s for s in range(100)
                 if not is_mna_B(F, sample_sigma_pair(F, SplitMix64(s), 10_000)))
     pair = sample_sigma_pair(F, SplitMix64(seed), 10_000)
-    monkeypatch.setattr(mnaq.search, "is_mna_C", lambda F, pair: True)
+    # method C wrongly accepts every pair of every block
+    monkeypatch.setattr(mnaq.search, "class_nonempty_vec",
+                        lambda F, a, b: np.zeros((16, len(a)), dtype=bool))
     with pytest.raises(VerificationFailure, match=re.escape(str(pair))):
         search_mna(F, seed=seed)
+
+
+# -- the block sampler against the scalar loop it replaced -------------------
+
+def scalar_sigma_pairs(F, rng, max_draws):
+    """Oracle: one below() call per coordinate and one is_sigma_pair test per draw.
+    Yields (pair, draws so far) per Sigma member and ends after max_draws misses in
+    a row, yielding (None, draws so far)."""
+    span, draws = F.q - 2, 0
+    while True:
+        for _ in range(max_draws):
+            a, b = 2 + rng.below(span), 2 + rng.below(span)
+            draws += 1
+            if is_sigma_pair(F, a, b):
+                yield SigmaPair(a, b), draws
+                break
+        else:
+            yield None, draws
+            return
+
+
+def block_pairs(F, seed, max_draws, n):
+    """The first n Sigma pairs of sigma_blocks, and whether the stream ended."""
+    out = []
+    for a, b in sigma_blocks(F, SplitMix64(seed), max_draws):
+        out += map(SigmaPair, a.tolist(), b.tolist())
+        if len(out) >= n:
+            return out[:n], False
+    return out, True
+
+
+def oracle_pairs(F, seed, max_draws, n):
+    """The first n Sigma pairs of the scalar loop, whether it ended, and the draw
+    index where the run of misses that ended it began."""
+    out, start = [], 0
+    for pair, draws in scalar_sigma_pairs(F, SplitMix64(seed), max_draws):
+        if pair is None:
+            return out, True, start
+        out.append(pair)
+        start = draws
+        if len(out) == n:
+            return out, False, None
+
+
+@pytest.mark.parametrize("q", [5, 13, 27, 125, 1009, 2187, 10009])
+def test_sigma_blocks_match_scalar_loop(q):
+    F = field(q)
+    for seed in range(3):
+        want, ended, _ = oracle_pairs(F, seed, 200, 600)
+        assert block_pairs(F, seed, 200, 600) == (want, ended)
+        assert ended == (q == 5)
+
+
+def test_sigma_blocks_exhaust_where_the_scalar_loop_does():
+    # at q = 13 a draw lands in Sigma with probability 20/121, so short budgets
+    # run out; budget 20 runs out after a few hundred draws, and in some seeds the
+    # final run of misses spans the edge between two blocks
+    F = field(13)
+    edges = np.cumsum(np.minimum(SAMPLE_BLOCK * 2 ** np.arange(20), 4 * PAIR_BLOCK))
+    straddles = 0
+    for max_draws in (1, 2, 3, 20):
+        for seed in range(100):
+            want, ended, start = oracle_pairs(F, seed, max_draws, 10**6)
+            assert ended
+            assert block_pairs(F, seed, max_draws, 10**6) == (want, True)
+            straddles += bool(((start < edges) & (edges < start + max_draws)).any())
+    assert straddles > 0
+
+
+@pytest.mark.parametrize("m", [1, 3, 10007, 1 << 32, 1 << 63, (1 << 63) + 1,
+                               (1 << 63) + (1 << 62), (1 << 64) - 1])
+def test_below_block_matches_below(m):
+    # above 2^63 nearly half of all u64 values are rejected
+    for seed in (0, 11, (1 << 64) - 1):
+        block, scalar = SplitMix64(seed), SplitMix64(seed)
+        for n in (0, 1, 5, 300):
+            assert block.below_block(n, m).tolist() == [scalar.below(m) for _ in range(n)]
+            assert block.state == scalar.state
+    with pytest.raises(ValueError):
+        SplitMix64(0).below_block(4, 0)
 
 
 # (a, b, attempts) of search_mna(F, seed) for seeds 0-4, when each attempt was
@@ -94,6 +179,37 @@ def test_search_exhausts_when_sigma_has_no_mna():
     # sigma(11) = 0, so any attempt budget runs out
     with pytest.raises(SearchExhausted):
         search_mna(field(11), seed=3, max_attempts=25)
+
+
+def test_search_spends_exactly_its_attempts():
+    # the budget cuts a block of attempts at its last attempt
+    F = field(10007)
+    cert = search_mna(F, seed=2)
+    assert (cert.a, cert.b, cert.attempts) == (8494, 648, 81)
+    assert search_mna(F, seed=2, max_attempts=81) == cert
+    with pytest.raises(SearchExhausted, match="in 80 attempts at q=10007"):
+        search_mna(F, seed=2, max_attempts=80)
+    with pytest.raises(SearchExhausted, match="in 25 attempts at q=11"):
+        search_mna(field(11), seed=3, max_attempts=25)
+
+
+@pytest.mark.parametrize("max_attempts", [0, -1])
+def test_search_without_attempts_decides_no_pair(monkeypatch, max_attempts):
+    import mnaq.search
+
+    decided = []
+    monkeypatch.setattr(mnaq.search, "class_nonempty_vec",
+                        lambda F, a, b: decided.append(len(a)))
+    with pytest.raises(SearchExhausted, match="in 0 attempts at q=13"):
+        search_mna(field(13), seed=1, max_attempts=max_attempts)
+    assert decided == []
+
+
+def test_sample_stats_edge_cases():
+    assert mna_sample_stats(field(13), 0, seed=4) == (0, 0)
+    assert mna_sample_stats(field(5), 0, seed=4) == (0, 0)
+    with pytest.raises(SearchExhausted):
+        mna_sample_stats(field(5), 10, seed=4)
 
 
 def test_verify_certificate_rejects_wrong_field():
