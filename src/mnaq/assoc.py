@@ -37,7 +37,6 @@ from .quasigroup import (
     least_nonsquare,
     psi,
     psi_vec,
-    qmul,
     sigma_mask,
     sigma_rows,
 )
@@ -64,23 +63,12 @@ B_COUNT_LIMIT = 512
 BSCALED_COUNT_LIMIT = 4096
 
 
-def assoc_eq_holds(
-    F: Field, pair: SigmaPair, u: int, v: int, verify_vs_qmul: bool = False
-) -> bool:
-    """psi(psi(u)-v) == psi(-v) + psi(u-v-psi(-v)) at (u, v)."""
+def assoc_eq_holds(F: Field, pair: SigmaPair, u: int, v: int) -> bool:
+    """psi(psi(u)-v) == psi(-v) + psi(u-v-psi(-v)) at (u, v), the form that
+    v * (0 * u) == (v * 0) * u takes in the quasigroup."""
     pnv = psi(F, pair, F.neg(v))
     lhs = psi(F, pair, F.sub(psi(F, pair, u), v))
-    rhs = F.add(pnv, psi(F, pair, F.sub(F.sub(u, v), pnv)))
-    holds = lhs == rhs
-    if verify_vs_qmul:
-        # the equation must coincide with v * (0 * u) == (v * 0) * u
-        direct = qmul(F, pair, v, qmul(F, pair, 0, u)) == qmul(
-            F, pair, qmul(F, pair, v, 0), u
-        )
-        if holds != direct:
-            raise VerificationFailure(
-                f"equation and quasigroup law disagree at {pair}, (u, v) = ({u}, {v})")
-    return holds
+    return lhs == F.add(pnv, psi(F, pair, F.sub(F.sub(u, v), pnv)))
 
 
 def assoc_eq_vec(F: Field, P: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -251,20 +239,14 @@ def is_mna_C(F: Field, pair: SigmaPair) -> bool:
 
 PAIR_BLOCK = 2048  # pairs per block of sigma_count (about a quarter of its a-rows' cells)
 
-_METHOD_GUARDS = {
-    "A": A_COUNT_LIMIT,
-    "B": B_COUNT_LIMIT,
-    "Bscaled": BSCALED_COUNT_LIMIT,
-    "C": None,
+# method -> (size guard of sigma_count, None for none; one-pair decision (F, pair, force)).
+# C decides whole blocks by class_nonempty_vec instead.
+_METHODS = {
+    "A": (A_COUNT_LIMIT, lambda F, pair, force: is_mna_A(F, pair, force=force)),
+    "B": (B_COUNT_LIMIT, lambda F, pair, force: is_mna_B(F, pair)),
+    "Bscaled": (BSCALED_COUNT_LIMIT, lambda F, pair, force: is_mna_Bscaled(F, pair)),
+    "C": (None, None),
 }
-
-
-def _is_mna(F: Field, pair: SigmaPair, method: str, force: bool) -> bool:
-    if method == "A":
-        return is_mna_A(F, pair, force=force)
-    if method == "B":
-        return is_mna_B(F, pair)
-    return is_mna_Bscaled(F, pair)
 
 
 def _sigma_block(F: Field, pairs: Sequence[SigmaPair]) -> np.ndarray:
@@ -284,7 +266,8 @@ def _count_chunk(args: tuple[Field, str, bool, bool, Sequence]) -> int:
               for s in range(0, len(items), step))
     if method == "C":
         return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)
-    return sum(_is_mna(F, SigmaPair(*p), method, force)
+    decide = _METHODS[method][1]
+    return sum(decide(F, SigmaPair(*p), force)
                for a, b in blocks for p in zip(a.tolist(), b.tolist()))
 
 
@@ -297,9 +280,9 @@ def sigma_count(
 ) -> int:
     """Number of (a, b) in Sigma whose quasigroup is maximally nonassociative, over
     all of Sigma or over pairs (SigmaPairs, or an (n, 2) array of codes)."""
-    guard = _METHOD_GUARDS.get(method, None)
-    if method not in _METHOD_GUARDS:
+    if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}")
+    guard = _METHODS[method][0]
     if guard is not None and F.q > guard and not force:
         raise TooLarge(f"method {method} guarded to q <= {guard}")
     items = (np.arange(2, F.q, dtype=np.int64) if pairs is None

@@ -54,9 +54,14 @@ def _default_jobs() -> int:
         return 1
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args: argparse.Namespace, payload: dict | list, rows: list[dict],
+          header: tuple[str, ...] | None = None) -> None:
+    """Write payload as JSON, or rows as CSV under header (the first row's keys by
+    default), as --format says, to --out or stdout."""
+    text = (to_json(payload) if args.format == "json"
+            else rows_to_csv(tuple(rows[0]) if header is None else header, rows))
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -81,36 +86,22 @@ def count_report(
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    report = count_report(args.q, args.method, jobs=args.jobs, force=args.force)
-    if args.format == "json":
-        _emit(to_json(report.to_dict()), args.out)
-    else:
-        row = report.to_dict()
-        header = tuple(k for k in row)
-        _emit(rows_to_csv(header, [row]), args.out)
+    row = count_report(args.q, args.method, jobs=args.jobs, force=args.force).to_dict()
+    _emit(args, row, [row])
     return EXIT_OK
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
     F = make_field(args.q)
     cert = search_mna(F, args.seed, args.max_attempts)
-    if args.format == "json":
-        _emit(to_json(cert.to_dict()), args.out)
-    else:
-        row = cert.to_dict()
-        row["methods"] = "+".join(cert.methods)
-        _emit(rows_to_csv(tuple(row), [row]), args.out)
+    _emit(args, cert.to_dict(), [{**cert.to_dict(), "methods": "+".join(cert.methods)}])
     return EXIT_OK
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = run_suite(args.suite, args.qmax, jobs=args.jobs)
     payload = report.to_dict()
-    if args.format == "json":
-        _emit(to_json(payload), args.out)
-    else:
-        header = ("name", "q", "ok", "detail")
-        _emit(rows_to_csv(header, payload["checks"]), args.out)
+    _emit(args, payload, payload["checks"], ("name", "q", "ok", "detail"))
     return EXIT_OK if report.ok else EXIT_VERIFY
 
 
@@ -127,10 +118,7 @@ def _cmd_density_table(args: argparse.Namespace) -> int:
             row["error"] = f"{type(exc).__name__}: {exc}"
             rows.append(row)
             print(f"q={q} failed: {exc}", file=sys.stderr)
-    if args.format == "json":
-        _emit(to_json(rows), args.out)
-    else:
-        _emit(rows_to_csv(DENSITY_HEADER, rows), args.out)
+    _emit(args, rows, rows, DENSITY_HEADER)
     return EXIT_OK
 
 
@@ -155,14 +143,7 @@ def _cmd_slices(args: argparse.Namespace) -> int:
     F = make_field(args.q)
     cs = [args.c] if args.c is not None else slice_params(F)
     rows = _slice_rows(F, cs)
-    if args.format == "json":
-        _emit(to_json(rows), args.out)
-    else:
-        header: tuple[str, ...] = ()
-        for row in rows:
-            if len(row) > len(header):
-                header = tuple(row)
-        _emit(rows_to_csv(header, rows), args.out)
+    _emit(args, rows, rows, tuple(max(rows, key=len, default=())))  # no rows: header ()
     return EXIT_OK
 
 

@@ -24,7 +24,7 @@ gfpoly's kernels add Field.lifts, the same digits packed in Python integers.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,23 +33,28 @@ from .errors import DivisionByZero, NotOddPrimePower, TooLarge
 MAX_FIELD_ORDER = 1 << 20  # tables are O(q) and the counters are O(q^2)
 
 
+def prime_factors(n: int) -> Iterator[int]:
+    """The prime factors of n >= 1 with multiplicity, ascending, by trial division;
+    each is yielded as soon as it is found."""
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            yield d
+            n //= d
+        d += 1
+    if n > 1:
+        yield n
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise NotOddPrimePower."""
     if q < 3 or q % 2 == 0:
         raise NotOddPrimePower(f"q must be an odd prime power >= 3, got {q}")
-    p = 3
-    while p * p <= q:
-        if q % p == 0:
-            break
-        p += 2
-    else:
-        return q, 1
-    k = 0
-    m = q
-    while m % p == 0:
-        m //= p
+    p = next(prime_factors(q))  # the least prime factor: no trial division past it
+    k = 1
+    while p**k < q:
         k += 1
-    if m != 1:
+    if p**k != q:
         raise NotOddPrimePower(f"{q} is not a prime power")
     return p, k
 
@@ -200,17 +205,7 @@ class Field:
     def _least_generator(self) -> np.ndarray:
         """The "multiply by g" matrix of the least multiplicative generator g."""
         n = self.q - 1
-        fac = []
-        m = n
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                fac.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            fac.append(m)
+        fac = set(prime_factors(n))
         one = np.eye(self.k, dtype=np.int64)
         for g in range(2, self.q):
             mat = self._mul_matrix(g)

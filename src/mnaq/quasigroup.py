@@ -64,6 +64,11 @@ def psi_vec(F: Field, pair: SigmaPair, W: np.ndarray) -> np.ndarray:
     return F.vmul(np.where(F.chi_table[W] >= 0, *pair), W)
 
 
+def qmul_vec(F: Field, pair: SigmaPair, U, V) -> np.ndarray:
+    """u * v over code arrays U, V that broadcast together."""
+    return F.vadd(U, psi_vec(F, pair, F.vsub(V, U)))
+
+
 def psi_map(F: Field, pair: SigmaPair) -> SPair:
     """The bijection Sigma -> S, (a, b) |-> (a/b, (1-a)/(1-b))."""
     a, b = pair
@@ -115,16 +120,14 @@ def enumerate_S(F: Field) -> list[SPair]:
 
 def least_nonsquare(F: Field) -> int:
     """The nonsquare with the least element code (shared convention zeta)."""
-    return int(np.nonzero(F.chi_table == -1)[0][0])
+    return int(F.chi_table.argmin())  # -1 is the least chi value; argmin takes the first
 
 
 def cayley_table(F: Field, pair: SigmaPair) -> np.ndarray:
     """Materialized q x q operation table; guarded to q <= CAYLEY_LIMIT."""
     if F.q > CAYLEY_LIMIT:
         raise TooLarge(f"Cayley tables are materialized only for q <= {CAYLEY_LIMIT}")
-    U = F.codes[:, None]
-    V = F.codes[None, :]
-    return F.vadd(U, psi_vec(F, pair, F.vsub(V, U)))
+    return qmul_vec(F, pair, F.codes[:, None], F.codes[None, :])
 
 
 def is_latin_square(table: np.ndarray) -> bool:
@@ -166,30 +169,27 @@ class OppositeIsoReport:
     opposite_witness: tuple[int, int] | None
 
 
-def _row_chunks(q: int) -> list[np.ndarray]:
-    step = min(q, CAYLEY_LIMIT)
-    codes = np.arange(q, dtype=np.int64)
-    return [codes[i : i + step] for i in range(0, q, step)]
+def _first_mismatch(q: int, left, right) -> tuple[int, int] | None:
+    """The first (u, v) in row order with left(U, V) != right(U, V), or None.  Each
+    side maps a block of row codes U (a column) and all codes V (a row) to a grid;
+    blocks hold CAYLEY_LIMIT rows, so no q x q table is ever materialized."""
+    V = np.arange(q, dtype=np.int64)[None, :]
+    for lo in range(0, q, CAYLEY_LIMIT):
+        U = np.arange(lo, min(q, lo + CAYLEY_LIMIT), dtype=np.int64)[:, None]
+        bad = np.nonzero(left(U, V) != right(U, V))
+        if bad[0].size:
+            return lo + int(bad[0][0]), int(bad[1][0])
+    return None
 
 
 def multiplier_is_isomorphism(
     F: Field, pair: SigmaPair, target: SigmaPair, mult: int
 ) -> tuple[bool, tuple[int, int] | None]:
-    """Does u |-> u*mult carry Q_pair onto Q_target? Returns (ok, witness).
-
-    Streams in row chunks so no q x q table is ever materialized.
-    """
-    V = F.codes[None, :]
-    MV = F.vmul(mult, V)
-    for rows in _row_chunks(F.q):
-        U = rows[:, None]
-        left = F.vmul(mult, F.vadd(U, psi_vec(F, pair, F.vsub(V, U))))
-        MU = F.vmul(mult, U)
-        right = F.vadd(MU, psi_vec(F, target, F.vsub(MV, MU)))
-        bad = np.nonzero(left != right)
-        if bad[0].size:
-            return False, (int(rows[bad[0][0]]), int(bad[1][0]))
-    return True, None
+    """Does u |-> u*mult carry Q_pair onto Q_target? Returns (ok, witness)."""
+    witness = _first_mismatch(
+        F.q, lambda U, V: F.vmul(mult, qmul_vec(F, pair, U, V)),
+        lambda U, V: qmul_vec(F, target, F.vmul(mult, U), F.vmul(mult, V)))
+    return witness is None, witness
 
 
 def opposite_and_iso_checks(F: Field, pair: SigmaPair) -> OppositeIsoReport:
@@ -206,15 +206,7 @@ def opposite_and_iso_checks(F: Field, pair: SigmaPair) -> OppositeIsoReport:
         opp_params = SigmaPair(F.sub(1, a), F.sub(1, b))
     else:
         opp_params = SigmaPair(F.sub(1, b), F.sub(1, a))
-    opp_ok, opp_wit = True, None
-    V = F.codes[None, :]
-    for rows in _row_chunks(F.q):
-        U = rows[:, None]
-        # row block of Q^op: entry (u, v) is v * u in Q_{a,b}
-        got = F.vadd(V, psi_vec(F, pair, F.vsub(U, V)))
-        want = F.vadd(U, psi_vec(F, opp_params, F.vsub(V, U)))
-        bad = np.nonzero(got != want)
-        if bad[0].size:
-            opp_ok, opp_wit = False, (int(rows[bad[0][0]]), int(bad[1][0]))
-            break
-    return OppositeIsoReport(pair, zeta, iso_ok, opp_ok, iso_wit, opp_wit)
+    # entry (u, v) of Q^op is v * u in Q_{a,b}
+    opp_wit = _first_mismatch(F.q, lambda U, V: qmul_vec(F, pair, V, U),
+                              lambda U, V: qmul_vec(F, opp_params, U, V))
+    return OppositeIsoReport(pair, zeta, iso_ok, opp_wit is None, iso_wit, opp_wit)

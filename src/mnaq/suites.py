@@ -133,23 +133,16 @@ def suite_bijection(qmax: int, jobs: int = 1) -> SuiteReport:
     return rep
 
 
-def _permute_code(code: int, perm: str) -> int:
-    i, j, r, s = (code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1
-    if perm == "swap_ij_rs":       # (j, i, s, r)
-        i, j, r, s = j, i, s, r
-    elif perm == "complement":     # (1-i, 1-j, 1-r, 1-s)
-        i, j, r, s = 1 - i, 1 - j, 1 - r, 1 - s
-    elif perm == "swap_complement":  # (1-j, 1-i, 1-s, 1-r)
-        i, j, r, s = 1 - j, 1 - i, 1 - s, 1 - r
-    else:
-        raise ValueError(perm)
-    return (i << 3) | (j << 2) | (r << 1) | s
+def _class_map(f) -> np.ndarray:
+    """The map f on (i, j, r, s) as an int8 table over the class codes 8i+4j+2r+s;
+    entry 16 is -1, so indexing the table by a code grid keeps -1 at non-solutions."""
+    return np.array([8 * i + 4 * j + 2 * r + s for i, j, r, s in map(f, ALL_CLASSES)]
+                    + [-1], dtype=np.int8)
 
 
-def _expected_codes(grid: np.ndarray, perm: str) -> np.ndarray:
-    lut = np.array([_permute_code(c, perm) for c in range(16)], dtype=np.int8)
-    lut = np.concatenate([lut, np.array([-1], dtype=np.int8)])  # map -1 to -1
-    return lut[grid]
+SWAP = _class_map(lambda c: (c.j, c.i, c.s, c.r))
+COMPLEMENT = _class_map(lambda c: tuple(1 - bit for bit in c))
+HALVES = _class_map(lambda c: (c.r, c.s, c.i, c.j))
 
 
 def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
@@ -166,27 +159,18 @@ def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
             a, b = pair
             g = grids[pair]
             swapped = grids[SigmaPair(b, a)]
-            expect = _expected_codes(g, "complement")
-            if not (swapped[np.ix_(zmap, zmap)] == expect).all():
-                ok_scaling = False
-            comp = SigmaPair(F.sub(1, a), F.sub(1, b))
-            g_comp = grids[comp]
+            ok_scaling &= (swapped[np.ix_(zmap, zmap)] == COMPLEMENT[g]).all()
+            g_comp = grids[SigmaPair(F.sub(1, a), F.sub(1, b))]
             if minus_one_is_square:
-                expect = _expected_codes(g, "swap_ij_rs")
-                if not (g_comp.T == expect).all():
-                    ok_opposite = False
+                ok_opposite &= (g_comp.T == SWAP[g]).all()
             else:
                 other = grids[SigmaPair(F.sub(1, b), F.sub(1, a))]
-                expect = _expected_codes(g, "swap_complement")
-                if not (other.T == expect).all():
-                    ok_opposite = False
-            present = {c for c in np.unique(g) if c >= 0}
-            present_comp = {c for c in np.unique(g_comp) if c >= 0}
-            present_swap = {c for c in np.unique(swapped) if c >= 0}
-            if present_comp != {_permute_code(c, "swap_ij_rs") for c in present}:
-                ok_sigma_level = False
-            if present_swap != {_permute_code(c, "complement") for c in present}:
-                ok_sigma_level = False
+                ok_opposite &= (other.T == COMPLEMENT[SWAP[g]]).all()
+            # every grid holds -1 at (0, 0), so the unique codes compare as sets with -1
+            present = np.unique(g)
+            ok_sigma_level &= (np.array_equal(np.unique(g_comp), np.unique(SWAP[present]))
+                               and np.array_equal(np.unique(swapped),
+                                                  np.unique(COMPLEMENT[present])))
         rep.add("transport_scaling", q, ok_scaling)
         rep.add("transport_opposite", q, ok_opposite)
         rep.add("class_presence_symmetry", q, ok_sigma_level)
@@ -407,20 +391,11 @@ def _partition_maps_hold(F: Field) -> bool:
     ok = (t1.T == t1).all() and (t2.T == t2p).all()
     ok &= (inv_perm(t1) == t1).all()
     ok &= (inv_perm(t2) == t2).all() and (inv_perm(t2p) == t2p).all()
-    for code in range(16):
-        # swap sends R_i(s1,s2,s3,s4) to R_i(s2,s1,s4,s3); inversion to
-        # R_i(s3,s4,s1,s2)
-        r_mask = rho == code
-        r_sw = rho == (((code >> 1) & 0b0101) | ((code << 1) & 0b1010))
-        r_iv = rho == (((code & 0b0011) << 2) | (code >> 2))
-        if not (r_mask.T == r_sw).all():
-            return False
-        if not (inv_perm(r_mask) == r_iv).all():
-            return False
-        if not ((r_mask & t1).T == (r_sw & t1)).all():
-            return False
-        if not (inv_perm(r_mask & t2) == (r_iv & t2)).all():
-            return False
+    # swap sends R_i(s1,s2,s3,s4) to R_i(s2,s1,s4,s3), inversion to R_i(s3,s4,s1,s2).
+    # Both maps are involutions on the codes, so every R_i maps onto its image
+    # exactly when the code grid does (-1 off the pieces stays -1); with t1 and t2
+    # fixed above, so do the pieces R_i & t1 and R_i & t2.
+    ok &= (rho.T == SWAP[rho]).all() and (inv_perm(rho) == HALVES[rho]).all()
     return bool(ok)
 
 

@@ -21,7 +21,7 @@ from mnaq.assoc import (
 )
 from mnaq.charside import sigma_count_D
 from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
-from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair
+from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, qmul
 
 from conftest import field
 
@@ -36,11 +36,14 @@ def test_trivial_solution():
 
 
 def test_assoc_eq_matches_quasigroup_form():
+    # the equation is v * (0 * u) == (v * 0) * u in the quasigroup
     F = field(13)
     for pair in enumerate_sigma(F)[:6]:
         for u in range(13):
             for v in range(13):
-                assoc_eq_holds(F, pair, u, v, verify_vs_qmul=True)
+                direct = qmul(F, pair, v, qmul(F, pair, 0, u)) == qmul(
+                    F, pair, qmul(F, pair, v, 0), u)
+                assert assoc_eq_holds(F, pair, u, v) == direct, (pair, u, v)
 
 
 def test_frozen_non_mna_pair():

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from mnaq.cli import EXIT_OK, EXIT_USAGE, main
+from mnaq.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "cli"
 
@@ -37,6 +37,13 @@ COMMANDS = [  # (argv, exit code)
     ("verify --suite weil --qmax 49", EXIT_OK),
     ("search --q 343 --seed 3", EXIT_OK),
     ("count --q 12", EXIT_USAGE),
+    ("search --q 343 --seed 3 --format csv", EXIT_OK),
+    ("density-table --q 12 --q 27 --format json", EXIT_OK),
+    ("slices --q 3", EXIT_OK),
+    ("verify --suite symmetry --qmax 13", EXIT_OK),
+    ("verify --suite bijection --qmax 13 --format csv", EXIT_OK),
+    ("count --q 27 --method Bscaled --format csv", EXIT_OK),
+    ("count --q 101 --method A", EXIT_GUARD),
 ]
 
 

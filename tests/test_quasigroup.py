@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from mnaq.errors import NotInS, NotInSigma, TooLarge
 from mnaq.quasigroup import (
+    CAYLEY_LIMIT,
+    OppositeIsoReport,
     SigmaPair,
     SPair,
     cayley_table,
@@ -13,6 +15,7 @@ from mnaq.quasigroup import (
     is_latin_square,
     is_s_pair,
     is_sigma_pair,
+    _first_mismatch,
     least_nonsquare,
     multiplier_is_isomorphism,
     opposite_and_iso_checks,
@@ -160,8 +163,13 @@ def test_map_domain_errors():
         phi_map(F, SPair(2, 2))
 
 
+@pytest.mark.parametrize(
+    "q,zeta", [(9, 4), (13, 2), (27, 2), (2187, 2), (10009, 7), (59049, 34)])
+def test_least_nonsquare_pinned(q, zeta):
+    assert least_nonsquare(field(q)) == zeta
+
+
 def test_least_nonsquare():
-    assert least_nonsquare(field(13)) == 2
     F = field(9)
     z = least_nonsquare(F)
     assert F.chi(z) == -1
@@ -175,6 +183,32 @@ def test_opposite_and_iso_all_pairs(q):
         rep = opposite_and_iso_checks(F, pair)
         assert rep.iso_ok, (q, pair, rep.iso_witness)
         assert rep.opposite_ok, (q, pair, rep.opposite_witness)
+
+
+@pytest.mark.parametrize("q,pair,zeta", [(1031, (345, 2), 7), (1033, (345, 745), 5)])
+def test_opposite_and_iso_across_row_blocks(q, pair, zeta):
+    assert 2 * CAYLEY_LIMIT < q  # both checks scan three row blocks
+    F = field(q)
+    pair = SigmaPair(*pair)
+    assert is_sigma_pair(F, *pair)
+    assert opposite_and_iso_checks(F, pair) == OppositeIsoReport(
+        pair, zeta, True, True, None, None)
+    # the square multiplier zeta^2 is no swap isomorphism; the first mismatch is (0, 1)
+    swap = SigmaPair(pair.b, pair.a)
+    assert multiplier_is_isomorphism(F, pair, swap, F.mul(zeta, zeta)) == (False, (0, 1))
+
+
+def test_first_mismatch_finds_a_late_row():
+    q = 1031
+
+    def left(U, V):
+        return U * q + V
+
+    def right(U, V):
+        return left(U, V) + ((U == 700) & (V >= 250))
+
+    assert _first_mismatch(q, left, right) == (700, 250)
+    assert _first_mismatch(q, left, left) is None
 
 
 def test_square_multiplier_is_not_swap_isomorphism():

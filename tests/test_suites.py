@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from mnaq.suites import SUITES, run_suite
+from mnaq.suites import COMPLEMENT, HALVES, SUITES, SWAP, run_suite
 
 
 @pytest.mark.parametrize("name,qmax", [
@@ -31,3 +32,14 @@ def test_all_suites_registered():
         "bijection", "charset", "methods", "partitions",
         "slices", "symmetry", "thm31", "weil",
     ]
+
+
+def test_class_code_tables_match_their_definitions():
+    for code in range(16):
+        i, j, r, s = (code >> 3) & 1, (code >> 2) & 1, (code >> 1) & 1, code & 1
+        assert SWAP[code] == 8 * j + 4 * i + 2 * s + r
+        assert COMPLEMENT[code] == 8 * (1 - i) + 4 * (1 - j) + 2 * (1 - r) + (1 - s)
+        assert HALVES[code] == 8 * r + 4 * s + 2 * i + j
+    for table in (SWAP, COMPLEMENT, HALVES):
+        assert table.dtype == np.int8 and len(table) == 17
+        assert table[-1] == -1 and table[np.int8(-1)] == -1
