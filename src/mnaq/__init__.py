@@ -9,14 +9,13 @@ and density results the construction rests on.
 from .assoc import (
     ALL_CLASSES,
     ClassIndex,
-    SolutionSet,
     assoc_eq_holds,
+    class_code_grid,
     is_mna_A,
     is_mna_B,
     is_mna_Bscaled,
     is_mna_C,
     sigma_count,
-    solutions_E,
 )
 from .charside import (
     SliceCounts,

@@ -22,8 +22,8 @@ Four mutually cross-checking methods:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -85,38 +85,9 @@ def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     return assoc_eq_vec(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.codes[None, :])
 
 
-@dataclass(frozen=True)
-class SolutionSet:
-    """E(a, b): the nontrivial solutions, each labeled with its class."""
-
-    pair: SigmaPair
-    entries: tuple[tuple[int, int, ClassIndex], ...]
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.entries
-
-    def classes_present(self) -> frozenset[ClassIndex]:
-        return frozenset(c for _, _, c in self.entries)
-
-    def by_class(self) -> dict[ClassIndex, list[tuple[int, int]]]:
-        out: dict[ClassIndex, list[tuple[int, int]]] = {}
-        for u, v, c in self.entries:
-            out.setdefault(c, []).append((u, v))
-        return out
-
-
-def solutions_E(F: Field, pair: SigmaPair) -> SolutionSet:
-    codes = class_code_grid(F, pair)
-    us, vs = np.nonzero(codes >= 0)
-    entries = tuple(
-        (int(u), int(v), ALL_CLASSES[codes[u, v]]) for u, v in zip(us, vs)
-    )
-    return SolutionSet(pair, entries)
-
-
 def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
-    """(q, q) int8 grid: class code 8i+4j+2r+s at solutions, -1 elsewhere."""
+    """E(a, b) as a (q, q) int8 grid over (u, v): the class code 8i+4j+2r+s at each
+    nontrivial solution, -1 elsewhere."""
     holds = assoc_eq_grid(F, pair)
     holds[0, 0] = False
     U = F.codes[:, None]
@@ -249,20 +220,11 @@ _METHODS = {
 }
 
 
-def _sigma_block(F: Field, pairs: Sequence[SigmaPair]) -> np.ndarray:
-    """The pairs as rows (a, b) of codes, NotInSigma if one is outside Sigma."""
-    block = np.array(pairs, dtype=np.int64).T
-    bad = np.flatnonzero(~sigma_mask(F, *block))
-    if bad.size:
-        raise NotInSigma(f"{tuple(block[:, bad[0]].tolist())} is not in Sigma(F_{F.q})")
-    return block
-
-
-def _count_chunk(args: tuple[Field, str, bool, bool, Sequence]) -> int:
+def _count_chunk(args: tuple[Field, str, bool, bool, np.ndarray]) -> int:
     """MNA pairs of a chunk of Sigma's a-rows (rows) or of pairs, block by block."""
     F, method, force, rows, items = args
     step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
-    blocks = (sigma_rows(F, items[s:s + step]) if rows else _sigma_block(F, items[s:s + step])
+    blocks = (sigma_rows(F, items[s:s + step]) if rows else items[s:s + step].T
               for s in range(0, len(items), step))
     if method == "C":
         return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)
@@ -285,6 +247,12 @@ def sigma_count(
     guard = _METHODS[method][0]
     if guard is not None and F.q > guard and not force:
         raise TooLarge(f"method {method} guarded to q <= {guard}")
-    items = (np.arange(2, F.q, dtype=np.int64) if pairs is None
-             else pairs if isinstance(pairs, np.ndarray) else list(pairs))
+    if pairs is None:
+        items = np.arange(2, F.q, dtype=np.int64)
+    else:
+        items = (pairs if isinstance(pairs, np.ndarray) else
+                 np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2))
+        bad = np.flatnonzero(~sigma_mask(F, *items.T))
+        if bad.size:
+            raise NotInSigma(f"{tuple(items[bad[0]].tolist())} is not in Sigma(F_{F.q})")
     return sum(chunked_map(_count_chunk, (F, method, force, pairs is None), items, jobs))

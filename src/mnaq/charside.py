@@ -31,10 +31,11 @@ class (0,0,0,0) when q = 1 mod 4 and of class (0,1,1,0) when q = 3 mod 4.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
+from .assoc import ALL_CLASSES
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
 from .field import Field, read_only
 from .pool import chunked_map
@@ -183,6 +184,18 @@ def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
     return m
 
 
+def _class_map(f) -> np.ndarray:
+    """The map f on (i, j, r, s) as an int8 table over the class codes 8i+4j+2r+s;
+    entry 16 is -1, so indexing the table by a code grid keeps -1 at non-solutions."""
+    return np.array([8 * i + 4 * j + 2 * r + s for i, j, r, s in map(f, ALL_CLASSES)]
+                    + [-1], dtype=np.int8)
+
+
+SWAP = _class_map(lambda c: (c.j, c.i, c.s, c.r))
+COMPLEMENT = _class_map(lambda c: tuple(1 - bit for bit in c))
+HALVES = _class_map(lambda c: (c.r, c.s, c.i, c.j))
+
+
 def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(inv, ring, slices), read-only: inv[u] = 1/u (inv[0] = 0); ring, the squares
     outside {0, 1} by class {c, 1/c}, c = min(c, 1/c) ascending; rows (c, lo, hi):
@@ -247,7 +260,7 @@ class TPartitionReport:
     total: int
     parts: dict[str, int]
     r_counts: dict[tuple[int, int, int, int], tuple[int, int, int]] | None
-    violations: list[str] = dc_field(default_factory=list)
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
@@ -310,51 +323,37 @@ def t_partition(F: Field) -> TPartitionReport:
             for row, mask in enumerate((True, pieces["t1"], pieces["t2"])):
                 r[row] += np.bincount(rho[mask & (rho >= 0)], minlength=16)
 
-    rep = TPartitionReport(F.q, mod4, total, acc, None)
-    v = rep.violations
     if mod4 == 3:
-        if acc["t0"] + acc["t0p"] != total:
-            v.append("T0 and T0' do not partition T")
-        if acc["forbidden"] or acc["forbiddenp"]:
-            v.append("forbidden sign combination present in T0/T0'")
-        if acc["t11"] + acc["t1m1"] + acc["t2"] != acc["t0"]:
-            v.append("T0 parts do not sum")
-        if acc["t11p"] + acc["t1m1p"] + acc["t2p"] != acc["t0p"]:
-            v.append("T0' parts do not sum")
-        if not (acc["t11"] == acc["t11p"] == acc["t1m1"] == acc["t1m1p"]):
-            v.append("|T11| = |T11'| = |T1m1| = |T1m1'| fails")
-        if acc["t2"] != acc["t2p"]:
-            v.append("|T2| != |T2'|")
-        return rep
-
-    def _rho_of(code: int) -> tuple[int, int, int, int]:
-        return tuple(1 if (code >> sh) & 1 else -1 for sh in (3, 2, 1, 0))  # type: ignore[return-value]
-
-    rep.r_counts = r_counts = {
-        _rho_of(i): (int(r[0, i]), int(r[1, i]), int(r[2, i])) for i in range(16)
-    }
-    if acc["t1"] + acc["t2"] + acc["t2p"] != total:
-        v.append("T1, T2, T2' do not partition T")
-    if acc["forbidden"]:
-        v.append("forbidden sign combination present in T")
-    if acc["t2"] != acc["t2p"]:
-        v.append("|T2| != |T2'|")
-    if acc["t1"] + 2 * acc["t2"] != total:
-        v.append("|T| != |T1| + 2|T2|")
-    for rho, (ra, _, _) in r_counts.items():
-        if (rho[2], rho[3]) == (-1, -1) and ra:
-            v.append(f"R{rho} with trailing (-1,-1) nonempty")
-        if (rho[0], rho[1]) == (-1, -1) and ra:
-            v.append(f"R{rho} with leading (-1,-1) nonempty")
-    for rho, (_, c1, _) in r_counts.items():
-        swapped = (rho[1], rho[0], rho[3], rho[2])
-        if c1 != r_counts[swapped][1]:
-            v.append(f"|R1{rho}| != |R1{swapped}|")
-    for rho, (_, c1, c2) in r_counts.items():
-        inverted = (rho[2], rho[3], rho[0], rho[1])
-        if c1 != r_counts[inverted][1] or c2 != r_counts[inverted][2]:
-            v.append(f"|Ri{rho}| != |Ri{inverted}|")
-    return rep
+        r_counts, checks = None, [
+            (acc["t0"] + acc["t0p"] == total, "T0 and T0' do not partition T"),
+            (not (acc["forbidden"] or acc["forbiddenp"]),
+             "forbidden sign combination present in T0/T0'"),
+            (acc["t11"] + acc["t1m1"] + acc["t2"] == acc["t0"], "T0 parts do not sum"),
+            (acc["t11p"] + acc["t1m1p"] + acc["t2p"] == acc["t0p"], "T0' parts do not sum"),
+            (acc["t11"] == acc["t11p"] == acc["t1m1"] == acc["t1m1p"],
+             "|T11| = |T11'| = |T1m1| = |T1m1'| fails"),
+            (acc["t2"] == acc["t2p"], "|T2| != |T2'|"),
+        ]
+    else:
+        # R(rho) has the code of its bits b_j = (rho_j + 1)/2, so its trailing or leading
+        # pair is (-1,-1) where code & 3 or code & 12 is 0; the swap sends R(s1,s2,s3,s4)
+        # to R(s2,s1,s4,s3) and the inversion to R(s3,s4,s1,s2)
+        rhos = [tuple(2 * bit - 1 for bit in cls) for cls in ALL_CLASSES]
+        r_counts = {rho: tuple(r[:, c].tolist()) for c, rho in enumerate(rhos)}
+        checks = [
+            (acc["t1"] + acc["t2"] + acc["t2p"] == total, "T1, T2, T2' do not partition T"),
+            (not acc["forbidden"], "forbidden sign combination present in T"),
+            (acc["t2"] == acc["t2p"], "|T2| != |T2'|"),
+            (acc["t1"] + 2 * acc["t2"] == total, "|T| != |T1| + 2|T2|"),
+            *((c & bits or not r[0, c], f"R{rho} with {end} (-1,-1) nonempty")
+              for c, rho in enumerate(rhos) for bits, end in ((3, "trailing"), (12, "leading"))),
+            *((r[1, c] == r[1, SWAP[c]], f"|R1{rho}| != |R1{rhos[SWAP[c]]}|")
+              for c, rho in enumerate(rhos)),
+            *(((r[1:, c] == r[1:, HALVES[c]]).all(), f"|Ri{rho}| != |Ri{rhos[HALVES[c]]}|")
+              for c, rho in enumerate(rhos)),
+        ]
+    return TPartitionReport(F.q, mod4, total, acc, r_counts,
+                            [msg for holds, msg in checks if not holds])
 
 
 # ----------------------------------------------------------------------

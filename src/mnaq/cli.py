@@ -12,7 +12,7 @@ import argparse
 import os
 import sys
 import time
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .assoc import sigma_count
 from .charside import sigma_count_D, slice_counters, slice_params
@@ -25,14 +25,7 @@ from .errors import (
     VerificationFailure,
 )
 from .field import Field, make_field
-from .quasigroup import sigma_cardinality
-from .reports import (
-    DENSITY_HEADER,
-    SigmaReport,
-    density_row,
-    rows_to_csv,
-    to_json,
-)
+from .reports import DENSITY_HEADER, rows_to_csv, sigma_row, to_json
 from .search import search_mna
 from .suites import SUITES, run_suite
 
@@ -67,26 +60,19 @@ def _emit(args: argparse.Namespace, payload: dict | list, rows: list[dict],
         sys.stdout.write(text)
 
 
-def count_report(
-    q: int,
-    method: str,
-    jobs: int = 1,
-    force: bool = False,
-    time_fn: Callable[[], float] = time.perf_counter,
-) -> SigmaReport:
-    """Count sigma(q) by the chosen method and wrap it in a report."""
+def count_report(q: int, method: str, jobs: int = 1, force: bool = False) -> dict:
+    """Count sigma(q) by the chosen method; the report is reports.sigma_row."""
     F = make_field(q)
-    start = time_fn()
+    start = time.perf_counter()
     if method == "D":
         sigma = sigma_count_D(F, jobs=jobs)
     else:
         sigma = sigma_count(F, method, jobs=jobs, force=force)
-    seconds = time_fn() - start
-    return SigmaReport.build(q, sigma_cardinality(q), sigma, method, round(seconds, 3))
+    return sigma_row(q, sigma, method, round(time.perf_counter() - start, 3))
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    row = count_report(args.q, args.method, jobs=args.jobs, force=args.force).to_dict()
+    row = count_report(args.q, args.method, jobs=args.jobs, force=args.force)
     _emit(args, row, [row])
     return EXIT_OK
 
@@ -110,7 +96,7 @@ def _cmd_density_table(args: argparse.Namespace) -> int:
     for q in sorted(args.q):
         try:
             report = count_report(q, args.method, jobs=args.jobs, force=args.force)
-            rows.append(density_row(report))
+            rows.append({k: report[k] for k in DENSITY_HEADER})
         except (NotOddPrimePower, TooLarge) as exc:
             row = dict.fromkeys(DENSITY_HEADER)
             row["q"] = q
@@ -155,19 +141,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, fmt_default: str) -> None:
-        p.add_argument("--jobs", type=int, default=_default_jobs(),
-                       help="worker processes (default: MNA_JOBS or 1)")
+    shared = {  # flags of only the commands that read them
+        "--jobs": dict(type=int, default=_default_jobs(),
+                       help="worker processes (default: MNA_JOBS or 1)"),
+        "--force": dict(action="store_true", help="override method size guards"),
+    }
+
+    def add_common(p: argparse.ArgumentParser, fmt_default: str, *flags: str) -> None:
+        """The given flags of shared, then --out and --format."""
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--out", type=str, default=None, help="output path")
         p.add_argument("--format", choices=("csv", "json"), default=fmt_default)
-        p.add_argument("--force", action="store_true",
-                       help="override method size guards")
 
     p_count = sub.add_parser("count", help="count sigma(q)")
     p_count.add_argument("--q", type=int, required=True)
     p_count.add_argument("--method", choices=("A", "B", "Bscaled", "C", "D"),
                          default="D")
-    add_common(p_count, "json")
+    add_common(p_count, "json", "--jobs", "--force")
     p_count.set_defaults(func=_cmd_count)
 
     p_search = sub.add_parser("search", help="random search for an MNA pair")
@@ -180,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=sorted(SUITES), required=True)
     p_verify.add_argument("--qmax", type=int, default=49)
-    add_common(p_verify, "json")
+    add_common(p_verify, "json", "--jobs")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_density = sub.add_parser("density-table", help="sigma/q^2 table")
@@ -188,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="repeatable field order")
     p_density.add_argument("--method", choices=("A", "B", "Bscaled", "C", "D"),
                            default="D")
-    add_common(p_density, "csv")
+    add_common(p_density, "csv", "--jobs", "--force")
     p_density.set_defaults(func=_cmd_density_table)
 
     p_slices = sub.add_parser("slices", help="slice counters with bounds")

@@ -401,10 +401,10 @@ class Field:
 
 
 def make_field(q: int) -> Field:
-    """Construct F_q for an odd prime power q in [3, 2^20]."""
-    p, k = factor_prime_power(q)
-    if q > MAX_FIELD_ORDER:
+    """Construct F_q for an odd prime power q in [3, 2^20], the ceiling checked first."""
+    if q > MAX_FIELD_ORDER and q % 2:
         raise TooLarge(f"q={q} exceeds the field ceiling {MAX_FIELD_ORDER}")
+    p, k = factor_prime_power(q)
     modulus = least_irreducible(p, k)
     return Field(q, p, k, modulus)
 

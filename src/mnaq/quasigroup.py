@@ -37,12 +37,8 @@ def sigma_cardinality(q: int) -> int:
 
 
 def is_sigma_pair(F: Field, a: int, b: int) -> bool:
-    if not (1 < a < F.q and 1 < b < F.q) or a == b:
-        return False
-    if F.chi(F.mul(a, b)) != 1:
-        return False
-    one_minus = F.mul(F.sub(1, a), F.sub(1, b))
-    return F.chi(one_minus) == 1
+    """Membership of (a, b) in Sigma: the one-pair view of sigma_mask."""
+    return bool(sigma_mask(F, a, b))
 
 
 def is_s_pair(F: Field, x: int, y: int) -> bool:
@@ -91,13 +87,14 @@ def phi_map(F: Field, sp: SPair) -> SigmaPair:
 
 
 def sigma_mask(F: Field, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Membership in Sigma of (a, b) for code arrays A, B that broadcast together."""
+    """Membership in Sigma of (a, b) for codes A, B: ints, or arrays that broadcast
+    together."""
     # outside {0, 1}, chi(ab) = 1 iff chi(a) = chi(b), and so for 1-a, 1-b; a pair
     # a != b that meets {0, 1} has chi(a) != chi(b) or chi(1-a) != chi(1-b)
     chi, chi_1m = F.chi_table, F.chi_one_minus
-    inside = (0 <= A) & (A < F.q) & (0 <= B) & (B < F.q)  # no code outside [0, q) counts
-    A, B = np.clip(A, 0, F.q - 1), np.clip(B, 0, F.q - 1)
-    return inside & (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
+    in_a, in_b = (0 <= A) & (A < F.q), (0 <= B) & (B < F.q)  # no code outside [0, q) counts
+    A, B = A * in_a, B * in_b  # such a code, a Python int of any size too, reads entry 0
+    return in_a & in_b & (A != B) & (chi[A] == chi[B]) & (chi_1m[A] == chi_1m[B])
 
 
 def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,4 @@
-"""Report records and their CSV/JSON renderings.
+"""Report rows (sigma_row) and their CSV/JSON renderings.
 
 The density limit constants are exact rationals computed from the class rules
 (limit_constant) and rendered to six significant digits; every other numeric
@@ -12,12 +12,12 @@ import functools
 import io
 import json
 import math
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .charside import CHAR_NAMES, class_masks
+from .quasigroup import sigma_cardinality
 
 DENSITY_HEADER = (
     "q",
@@ -59,45 +59,21 @@ def density_bound_slack(q: int, sigma: int) -> float:
     return rhs - abs(sigma - alpha * q * q)
 
 
-@dataclass(frozen=True)
-class SigmaReport:
-    q: int
-    mod4: int
-    sigma_card: int
-    sigma: int
-    density: float
-    limit: float
-    abs_gap: float
-    bound_slack: float
-    sigma_count_method: str
-    seconds: float
-
-    @classmethod
-    def build(
-        cls,
-        q: int,
-        sigma_card: int,
-        sigma: int,
-        method: str,
-        seconds: float,
-    ) -> "SigmaReport":
-        density = sigma / (q * q)
-        gap = abs(Fraction(sigma, q * q) - limit_constant(q))
-        return cls(
-            q=q,
-            mod4=q % 4,
-            sigma_card=sigma_card,
-            sigma=sigma,
-            density=density,
-            limit=float(f"{float(limit_constant(q)):.6g}"),
-            abs_gap=float(gap),
-            bound_slack=density_bound_slack(q, sigma),
-            sigma_count_method=method,
-            seconds=seconds,
-        )
-
-    def to_dict(self) -> dict:
-        return asdict(self)
+def sigma_row(q: int, sigma: int, method: str, seconds: float) -> dict:
+    """The report of one count of sigma(q), in the order `mnaq count` prints it."""
+    limit = limit_constant(q)
+    return {
+        "q": q,
+        "mod4": q % 4,
+        "sigma_card": sigma_cardinality(q),
+        "sigma": sigma,
+        "density": sigma / (q * q),
+        "limit": float(f"{float(limit):.6g}"),
+        "abs_gap": float(abs(Fraction(sigma, q * q) - limit)),
+        "bound_slack": density_bound_slack(q, sigma),
+        "sigma_count_method": method,
+        "seconds": seconds,
+    }
 
 
 def to_json(obj: dict | list) -> str:
@@ -112,6 +88,3 @@ def rows_to_csv(header: tuple[str, ...], rows: list[dict]) -> str:
         writer.writerow(["" if row.get(k) is None else row.get(k) for k in header])
     return buf.getvalue()
 
-
-def density_row(report: SigmaReport) -> dict:
-    return {k: getattr(report, k) for k in DENSITY_HEADER}

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .assoc import (
-    ALL_CLASSES,
-    class_code_grid,
-    sigma_count,
-    solutions_E,
-)
+from .assoc import ALL_CLASSES, class_code_grid, sigma_count
 from .charside import (
+    COMPLEMENT,
+    HALVES,
+    SWAP,
     is_regular_pair,
     exceptional_pairs,
     sigma_count_D,
@@ -133,18 +131,6 @@ def suite_bijection(qmax: int, jobs: int = 1) -> SuiteReport:
     return rep
 
 
-def _class_map(f) -> np.ndarray:
-    """The map f on (i, j, r, s) as an int8 table over the class codes 8i+4j+2r+s;
-    entry 16 is -1, so indexing the table by a code grid keeps -1 at non-solutions."""
-    return np.array([8 * i + 4 * j + 2 * r + s for i, j, r, s in map(f, ALL_CLASSES)]
-                    + [-1], dtype=np.int8)
-
-
-SWAP = _class_map(lambda c: (c.j, c.i, c.s, c.r))
-COMPLEMENT = _class_map(lambda c: tuple(1 - bit for bit in c))
-HALVES = _class_map(lambda c: (c.r, c.s, c.i, c.j))
-
-
 def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport("symmetry", qmax)
     for q in odd_prime_powers(7, qmax):
@@ -219,10 +205,9 @@ def membership_vs_e_side(F: Field) -> tuple[int, list[tuple]]:
         ev = slice_eval(F, y)
         for x, member in zip(map(int, ev.xs), ev.classes.T):
             if is_regular_pair(F, x, y):
-                truth = solutions_E(F, phi_map(F, SPair(x, y))).classes_present()
+                truth = np.isin(np.arange(16), class_code_grid(F, phi_map(F, SPair(x, y))))
                 checked += len(ALL_CLASSES)
-                bad += [(x, y, cls) for code, cls in enumerate(ALL_CLASSES)
-                        if member[code] != (cls in truth)]
+                bad += [(x, y, ALL_CLASSES[code]) for code in np.flatnonzero(member != truth)]
     return checked, bad
 
 
@@ -261,9 +246,7 @@ def suite_charset(qmax: int, jobs: int = 1) -> SuiteReport:
         exc = exceptional_pairs(F)
         rep.add("few_exceptional_pairs", q, len(exc) <= 4, f"{len(exc)} pairs")
         if q >= 47 and exc:
-            in_union = all(
-                not solutions_E(F, phi_map(F, sp)).is_empty for sp in exc
-            )
+            in_union = all((class_code_grid(F, phi_map(F, sp)) >= 0).any() for sp in exc)
             rep.add("exceptional_in_union", q, in_union)
     for q in odd_prime_powers(7, min(qmax, 49)):
         F = _field(q)

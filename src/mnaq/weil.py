@@ -103,14 +103,12 @@ class WeilCount:
     k: int
     total_degree: int
     bound: float
-    squarefree: bool
     within_bound: bool
 
 
-def count_sign_pattern(
-    F: Field, specs: list[PolySpec], assume_squarefree: bool = False
-) -> WeilCount:
-    """Exact N = #{alpha : chi(p_i(alpha)) = eps_i for all i} with bound check."""
+def count_sign_pattern(F: Field, specs: list[PolySpec]) -> WeilCount:
+    """Exact N = #{alpha : chi(p_i(alpha)) = eps_i for all i} with bound check; the
+    bound is proven for square-free lists, which is_squarefree_list decides."""
     if not specs:
         raise ValueError("need at least one PolySpec")
     ok = None
@@ -122,9 +120,8 @@ def count_sign_pattern(
     k = len(specs)
     total = sum(degree(s.poly) for s in specs)
     bound = (math.sqrt(F.q) + 1) * total / 2
-    sf = assume_squarefree or is_squarefree_list(F, [s.poly for s in specs]).squarefree
     within = abs(n - F.q / 2**k) < bound
-    return WeilCount(n, k, total, bound, sf, within)
+    return WeilCount(n, k, total, bound, within)
 
 
 # ----------------------------------------------------------------------
@@ -367,7 +364,7 @@ def run_weil_trials(F: Field, n_lists: int, seed: int) -> WeilTrialReport:
         specs = random_squarefree_specs(F, rng)
         if specs is None:
             raise RuntimeError(f"could not draw a square-free list over F_{F.q}")
-        res = count_sign_pattern(F, specs, assume_squarefree=True)
+        res = count_sign_pattern(F, specs)
         gap = abs(res.n - F.q / 2**res.k)
         worst = max(worst, gap / res.bound)
         if not res.within_bound:

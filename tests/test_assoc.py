@@ -9,6 +9,7 @@ from mnaq.assoc import (
     PAIR_BLOCK,
     ClassIndex,
     assoc_eq_holds,
+    class_code_grid,
     class_nonempty_vec,
     count_associative_triples,
     assoc_eq_grid,
@@ -17,7 +18,6 @@ from mnaq.assoc import (
     is_mna_Bscaled,
     is_mna_C,
     sigma_count,
-    solutions_E,
 )
 from mnaq.charside import sigma_count_D
 from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
@@ -66,22 +66,22 @@ def test_solution_set_invariants(q):
     F = field(q)
     half = (q - 1) // 2
     for pair in enumerate_sigma(F):
-        sols = solutions_E(F, pair)
-        pts = {(u, v) for u, v, _ in sols.entries}
-        assert (0, 0) not in pts
-        assert len(sols.entries) % half == 0
-        by_class = sols.by_class()
-        assert sum(len(v) for v in by_class.values()) == len(sols.entries)
+        grid = class_code_grid(F, pair)
+        pts = list(zip(*np.nonzero(grid >= 0)))
+        assert grid[0, 0] == -1
+        assert len(pts) % half == 0
+        # solutions are closed under (u, v) -> (c^2 u, c^2 v), which keeps their class
         for u, v in pts:
             for c in range(1, q):
                 cc = F.mul(c, c)
-                assert (F.mul(cc, u), F.mul(cc, v)) in pts
+                assert grid[F.mul(cc, u), F.mul(cc, v)] == grid[u, v]
 
 
 def test_classify_never_vanishes_on_solutions():
     F = field(13)
     for pair in enumerate_sigma(F):
-        for u, v, _cls in solutions_E(F, pair).entries:
+        for u, v in zip(*np.nonzero(class_code_grid(F, pair) >= 0)):
+            u, v = int(u), int(v)
             e_r = F.sub(F.mul(pair.a if F.chi(u) == 1 else pair.b, u), v)
             assert u != 0 and v != 0 and e_r != 0
 
@@ -157,6 +157,18 @@ def test_sigma_count_rejects_pairs_outside_sigma(method):
     assert sigma_count(F, method, pairs=good) == sum(is_mna_Bscaled(F, p) for p in good)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_sigma_count_takes_pairs_in_every_form(jobs):
+    F = field(125)
+    pairs = enumerate_sigma(F)
+    forms = [pairs, [tuple(p) for p in pairs], (p for p in pairs), np.array(pairs)]
+    assert [sigma_count(F, "C", jobs=jobs, pairs=f) for f in forms] == [456] * 4
+    bad = [*pairs[:5], (5, 5), (0, 5)]
+    for f in (bad, (p for p in bad), np.array(bad)):
+        with pytest.raises(NotInSigma, match=r"^\(5, 5\) is not in Sigma"):
+            sigma_count(F, "C", jobs=jobs, pairs=f)
+
+
 def test_codes_outside_the_field_are_in_no_sigma_pair():
     # -1 must not wrap to q - 1, and q must not raise IndexError from one path only
     F = field(13)
@@ -191,9 +203,8 @@ def test_class_nonempty_vec_matches_scalar_solve(q):
         A, B = linear_coeffs(F, a, b, cls)
         picked.update(np.flatnonzero((A == 0) & (B == 0)).tolist())
     for k in sorted(picked):
-        present = solutions_E(F, pairs[k]).classes_present()
-        for c, cls in enumerate(ALL_CLASSES):
-            assert holds[c, k] == (cls in present), (pairs[k], cls)
+        present = np.isin(np.arange(16), class_code_grid(F, pairs[k]))
+        assert holds[:, k].tolist() == present.tolist(), pairs[k]
 
 
 @pytest.mark.parametrize("q, fallbacks", [(25, 2), (81, 4), (251, 2)])
@@ -288,21 +299,18 @@ def test_class_solver_agrees_with_scan(q):
     F = field(q)
     pairs, holds = class_rows(F)
     for k, pair in enumerate(pairs):
-        present = solutions_E(F, pair).classes_present()
-        assert [cls in present for cls in ALL_CLASSES] == holds[:, k].tolist(), pair
+        present = np.isin(np.arange(16), class_code_grid(F, pair))
+        assert present.tolist() == holds[:, k].tolist(), pair
 
 
 def test_forced_value_class_0011():
     # nonempty (0,0,1,1) forces the solution ray v/u = b(a-1)/(a(b-1))
     F = field(13)
     for pair in enumerate_sigma(F):
-        sols = solutions_E(F, pair).by_class().get(ClassIndex(0, 0, 1, 1))
-        if not sols:
-            continue
+        us, vs = np.nonzero(class_code_grid(F, pair) == ALL_CLASSES.index((0, 0, 1, 1)))
         a, b = pair
         ratio = F.div(F.mul(b, F.sub(a, 1)), F.mul(a, F.sub(b, 1)))
-        for u, v in sols:
-            assert v == F.mul(ratio, u)
+        assert vs.tolist() == [F.mul(ratio, u) for u in us.tolist()]
 
 
 def test_assoc_eq_grid_matches_scalar():

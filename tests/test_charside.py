@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mnaq import assoc, charside
-from mnaq.assoc import ALL_CLASSES, solutions_E
+from mnaq.assoc import ALL_CLASSES, class_code_grid
 from mnaq.charside import (
     is_regular_pair,
     exceptional_pairs,
@@ -103,7 +103,7 @@ def test_exceptional_pairs_limited_and_in_union(q):
     for sp in exc:
         assert not is_regular_pair(F, *sp)
         # counted as non-MNA: the parameter side must agree
-        assert not solutions_E(F, phi_map(F, sp)).is_empty
+        assert (class_code_grid(F, phi_map(F, sp)) >= 0).any()
         # D needs no special case: the fixed characters there meet the rule of
         # class (0,0,0,0) when q = 1 mod 4 and of (0,1,1,0) when q = 3 mod 4
         x, y = sp
@@ -121,9 +121,9 @@ def test_s_class_member_reads_slice_masks():
     for sp in enumerate_S(F):
         if not is_regular_pair(F, *sp):
             continue
-        truth = solutions_E(F, phi_map(F, sp)).classes_present()
-        for cls in ALL_CLASSES:
-            assert s_class_member(F, sp, cls) == (cls in truth), (sp, cls)
+        truth = np.isin(np.arange(16), class_code_grid(F, phi_map(F, sp)))
+        for code, cls in enumerate(ALL_CLASSES):
+            assert s_class_member(F, sp, cls) == truth[code], (sp, cls)
 
 
 def test_mod1_class_0000_rule():
@@ -249,6 +249,68 @@ def test_t_partition_identities(q):
             == rep.r_counts[(1, -1, 1, 1)][1]
             == rep.r_counts[(-1, 1, 1, 1)][1]
         )
+
+
+T_PARTITIONS = {  # q: (|T|, parts, the nonzero r_counts), as computed before R's checks
+    13: (10, {"t1": 2, "t2": 4, "t2p": 4, "forbidden": 0},
+         {(-1, 1, 1, -1): (1, 1, 0), (1, -1, -1, 1): (1, 1, 0), (1, 1, 1, 1): (4, 0, 2)}),
+    25: (32, {"t1": 16, "t2": 8, "t2p": 8, "forbidden": 0},
+         {(-1, 1, -1, 1): (6, 6, 0), (-1, 1, 1, -1): (2, 2, 0), (-1, 1, 1, 1): (2, 0, 0),
+          (1, -1, -1, 1): (2, 2, 0), (1, -1, 1, -1): (6, 6, 0), (1, -1, 1, 1): (2, 0, 2),
+          (1, 1, -1, 1): (2, 0, 0), (1, 1, 1, -1): (2, 0, 2), (1, 1, 1, 1): (8, 0, 4)}),
+    27: (24, {"t0": 12, "t0p": 12, "t11": 3, "t1m1": 3, "t2": 6, "t11p": 3, "t1m1p": 3,
+              "t2p": 6, "forbidden": 0, "forbiddenp": 0}, None),
+    31: (8, {"t0": 4, "t0p": 4, "t11": 2, "t1m1": 2, "t2": 0, "t11p": 2, "t1m1p": 2,
+             "t2p": 0, "forbidden": 0, "forbiddenp": 0}, None),
+    49: (108, {"t1": 12, "t2": 48, "t2p": 48, "forbidden": 0},
+         {(-1, 1, -1, 1): (20, 0, 4), (-1, 1, 1, -1): (18, 6, 6), (1, -1, -1, 1): (18, 6, 6),
+          (1, -1, 1, -1): (20, 0, 16), (1, 1, 1, 1): (24, 0, 12)}),
+}
+
+
+@pytest.mark.parametrize("q", sorted(T_PARTITIONS))
+def test_t_partition_pinned(q):
+    rep = t_partition(field(q))
+    total, parts, r_nonzero = T_PARTITIONS[q]
+    assert (rep.total, rep.parts, rep.violations) == (total, parts, [])
+    if r_nonzero is None:
+        assert rep.r_counts is None
+    else:
+        assert len(rep.r_counts) == 16
+        assert {rho: c for rho, c in rep.r_counts.items() if any(c)} == r_nonzero
+
+
+def test_t_partition_reports_each_broken_identity(monkeypatch):
+    # pieces corrupted on purpose: every identity t_partition lists must fire, with
+    # the messages, and in the order, they had before R's checks read the code tables
+    pieces = charside.t_pieces
+
+    def corrupt(mod4, t, chars):
+        p = pieces(mod4, t, chars)
+        if mod4 == 3:
+            p.update(forbidden=p["t11"], t2p=p["t0p"], t11=p["t0"], t0p=p["t0p"] | p["t0"])
+        else:
+            p.update(rho=np.where(p["rho"] >= 0, (p["rho"] + 5) % 16, -1), t2p=p["t1"])
+        return p
+
+    monkeypatch.setattr(charside, "t_pieces", corrupt)
+    assert t_partition(field(27)).violations == [
+        "T0 and T0' do not partition T", "forbidden sign combination present in T0/T0'",
+        "T0 parts do not sum", "T0' parts do not sum",
+        "|T11| = |T11'| = |T1m1| = |T1m1'| fails", "|T2| != |T2'|"]
+    assert t_partition(field(25)).violations == [
+        "T1, T2, T2' do not partition T", "|T2| != |T2'|",
+        "R(-1, -1, -1, -1) with trailing (-1,-1) nonempty",
+        "R(-1, -1, -1, -1) with leading (-1,-1) nonempty",
+        "R(-1, -1, 1, -1) with leading (-1,-1) nonempty",
+        "R(-1, -1, 1, 1) with leading (-1,-1) nonempty",
+        "R(-1, 1, -1, -1) with trailing (-1,-1) nonempty",
+        "R(1, 1, -1, -1) with trailing (-1,-1) nonempty",
+        "|R1(-1, 1, -1, 1)| != |R1(1, -1, 1, -1)|", "|R1(-1, 1, 1, 1)| != |R1(1, -1, 1, 1)|",
+        "|R1(1, -1, 1, -1)| != |R1(-1, 1, -1, 1)|", "|R1(1, -1, 1, 1)| != |R1(-1, 1, 1, 1)|",
+        "|R1(1, 1, -1, 1)| != |R1(1, 1, 1, -1)|", "|R1(1, 1, 1, -1)| != |R1(1, 1, -1, 1)|",
+        "|Ri(-1, -1, -1, 1)| != |Ri(-1, 1, -1, -1)|", "|Ri(-1, -1, 1, 1)| != |Ri(1, 1, -1, -1)|",
+        "|Ri(-1, 1, -1, -1)| != |Ri(-1, -1, -1, 1)|", "|Ri(1, 1, -1, -1)| != |Ri(-1, -1, 1, 1)|"]
 
 
 @pytest.mark.parametrize("q", [11, 19, 23, 27, 31])

@@ -9,11 +9,12 @@ from mnaq.cli import (
     EXIT_OK,
     EXIT_USAGE,
     EXIT_VERIFY,
+    build_parser,
     count_report,
     main,
 )
 from mnaq.errors import DivisionByZero, IrregularPair, NotInS, NotInSigma, ZeroPolynomial
-from mnaq.reports import DENSITY_HEADER, SigmaReport, density_row, rows_to_csv
+from mnaq.reports import DENSITY_HEADER, rows_to_csv, sigma_row
 
 
 def run_cli(capsys, *args):
@@ -157,12 +158,28 @@ def test_density_csv_json_share_values(capsys):
             assert repr(row[key]) == csv_val or str(row[key]) == csv_val
 
 
-def test_count_byte_stable_with_fixed_clock():
+def test_count_byte_stable_with_fixed_clock(monkeypatch):
+    import mnaq.cli
+
     ticks = iter([0.0, 1.5, 0.0, 1.5])
-    a = count_report(13, "C", time_fn=lambda: next(ticks))
-    b = count_report(13, "C", time_fn=lambda: next(ticks))
+    monkeypatch.setattr(mnaq.cli.time, "perf_counter", lambda: next(ticks))
+    a = count_report(13, "C")
+    b = count_report(13, "C")
     assert a == b
-    assert a.seconds == 1.5
+    assert a["seconds"] == 1.5
+
+
+def test_each_subcommand_takes_only_the_options_it_reads():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    common = {"help", "out", "format"}
+    assert {name: {a.dest for a in p._actions} - common
+            for name, p in subcommands.items()} == {
+        "count": {"q", "method", "jobs", "force"},
+        "search": {"q", "seed", "max_attempts"},
+        "verify": {"suite", "qmax", "jobs"},
+        "density-table": {"q", "method", "jobs", "force"},
+        "slices": {"q", "c"},
+    }
 
 
 def test_slices_json(capsys):
@@ -225,7 +242,8 @@ def test_rows_to_csv_none_is_blank():
 
 
 def test_sigma_report_density_fields():
-    rep = SigmaReport.build(13, 20, 10, "C", 0.5)
-    row = density_row(rep)
-    assert tuple(row) == DENSITY_HEADER
-    assert row["density"] == 10 / 169
+    row = sigma_row(13, 10, "C", 0.5)
+    assert tuple(row) == ("q", "mod4", "sigma_card", "sigma", "density", "limit", "abs_gap",
+                          "bound_slack", "sigma_count_method", "seconds")
+    assert set(DENSITY_HEADER) <= set(row)
+    assert (row["sigma_card"], row["density"], row["seconds"]) == (20, 10 / 169, 0.5)

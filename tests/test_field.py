@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mnaq.field
 from mnaq.charside import orbit_slices, sigma_count_D
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
 from mnaq.field import (
@@ -80,6 +81,17 @@ def test_make_field_rejects_bad_orders(q):
 def test_make_field_rejects_huge_order():
     with pytest.raises(TooLarge):
         make_field(3**13)  # odd prime power above the ceiling
+
+
+def test_make_field_checks_the_ceiling_before_factoring(monkeypatch):
+    def no_trial_division(n):
+        raise RuntimeError(f"trial division of {n}")
+
+    monkeypatch.setattr(mnaq.field, "prime_factors", no_trial_division)
+    with pytest.raises(TooLarge):
+        make_field(100000000000031)  # a prime near 10^14
+    with pytest.raises(NotOddPrimePower):
+        make_field(2**21)  # even orders keep their error
 
 
 @pytest.mark.parametrize("q", [13, 9, 27, 25])

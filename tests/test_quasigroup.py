@@ -38,12 +38,24 @@ def test_is_sigma_pair_edges():
     assert not is_sigma_pair(F, 5, 5)
 
 
-@pytest.mark.parametrize("q", [9, 13, 27])
+def sigma_by_definition(F, a, b):
+    """The paper's Sigma: a, b outside {0, 1}, a != b, and ab and (1-a)(1-b) squares."""
+    if not (0 <= a < F.q and 0 <= b < F.q) or {a, b} & {0, 1} or a == b:
+        return False
+    return F.chi(F.mul(a, b)) == 1 == F.chi(F.mul(F.sub(1, a), F.sub(1, b)))
+
+
+@pytest.mark.parametrize("q", [9, 13, 27, 49, 125])
 def test_sigma_mask_is_is_sigma_pair_on_every_code_pair(q):
-    # codes 0 and 1 included: the character test alone keeps them out
+    # codes 0 and 1 included: the character test alone keeps them out; codes
+    # outside [0, q) are in no pair, 2^64 included
     F = field(q)
-    mask = sigma_mask(F, F.codes[:, None], F.codes[None, :])
-    assert mask.tolist() == [[is_sigma_pair(F, a, b) for b in range(q)] for a in range(q)]
+    codes = [*range(q), -1, q, 2**64]
+    want = [[sigma_by_definition(F, a, b) for b in codes] for a in codes]
+    assert [[is_sigma_pair(F, a, b) for b in codes] for a in codes] == want
+    small = np.array(codes[:-1])  # the int64 codes
+    assert sigma_mask(F, small[:, None], small).tolist() == [row[:-1] for row in want[:-1]]
+    assert not (sigma_mask(F, 2**64, small).any() or sigma_mask(F, small, 2**64).any())
 
 
 @pytest.mark.parametrize(

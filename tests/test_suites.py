@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from mnaq.suites import COMPLEMENT, HALVES, SUITES, SWAP, run_suite
+from mnaq.charside import COMPLEMENT, HALVES, SWAP
+from mnaq.suites import SUITES, run_suite
 
 
 @pytest.mark.parametrize("name,qmax", [

@@ -80,7 +80,8 @@ def test_count_single_linear():
     up = count_sign_pattern(F, [PolySpec(X, 1)])
     dn = count_sign_pattern(F, [PolySpec(X, -1)])
     assert up.n == dn.n == 6  # (q - 1) / 2
-    assert up.squarefree and up.within_bound
+    assert up.within_bound
+    assert is_squarefree_list(F, [X]).squarefree
 
 
 def test_count_pattern_pair():
