@@ -250,9 +250,14 @@ def sigma_count(
     if pairs is None:
         items = np.arange(2, F.q, dtype=np.int64)
     else:
-        items = (pairs if isinstance(pairs, np.ndarray) else
-                 np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2))
-        bad = np.flatnonzero(~sigma_mask(F, *items.T))
-        if bad.size:
-            raise NotInSigma(f"{tuple(items[bad[0]].tolist())} is not in Sigma(F_{F.q})")
+        pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)  # may be read twice
+        try:
+            items = (pairs if isinstance(pairs, np.ndarray) else
+                     np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2))
+        except OverflowError:  # such a code is outside Sigma, as sigma_mask answers
+            bad = [tuple(p) for p in pairs if not sigma_mask(F, *p)]
+        else:
+            bad = [tuple(items[i].tolist()) for i in np.flatnonzero(~sigma_mask(F, *items.T))[:1]]
+        if bad:
+            raise NotInSigma(f"{bad[0]} is not in Sigma(F_{F.q})")
     return sum(chunked_map(_count_chunk, (F, method, force, pairs is None), items, jobs))

@@ -16,8 +16,10 @@ so sigma_count_D scans about a quarter of the pairs, weighted by their orbits.
 The rules run on blocks of slices, x given by their logs (slice_eval is the
 one-row view): a SLICE_POLYS entry is a signed sum of its monomials x^i y^j,
 entries i*log(x) + j*log(y) of Field.log_digits (one integer per element, its
-digits packed on an extension field), and costs one gather per monomial, a few
-integer adds and one Field.chi_of_sum, with no reduction mod q.
+digits packed on an extension field).  A block gathers each monomial once, the
+x-free ones (1, y, y^2) one column per slice; an entry sums its x-free terms in
+that column, adds its x terms in place at full width and costs one
+Field.chi_of_sum, with no reduction mod q.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -43,7 +45,7 @@ from .quasigroup import SPair, is_s_pair
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
 T_GRID_LIMIT = 512
-BLOCK_DIGITS = 1 << 13  # log_digits entries (rows x width) per block of sigma_count_D's slices
+BLOCK_DIGITS = 1 << 14  # log_digits entries (rows x width) per block of sigma_count_D's slices
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
 CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
@@ -122,19 +124,25 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
 
 def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarray]:
     """The CHAR_NAMES signs at (x, y) = (g^LX[b], cs[b]), each SLICE_POLYS entry
-    summed from the log_digits columns of its monomials ("1-y" has one column)."""
+    summed from the log_digits entries of its monomials: the x-free ones (and "1-y")
+    one column per slice, then each x term added in place at full width."""
     digits, zero, _ = F.log_digits
     Lc = F.logs[0][cs][:, None].astype(LX.dtype)
+    xpow = {0: 0, 1: LX, 2: 2 * LX}  # the log of x^i; SLICE_POLYS has degree 2 in x
     mono: dict[tuple[int, int], np.ndarray] = {}
     chars = {}
     for name in CHAR_NAMES[:-1]:
-        T = zero  # the x-free monomials come first, while T is one column wide
+        col, T = zero, None
         for i, row in enumerate(SLICE_POLYS[name]):
             for j, a in enumerate(row):
                 if (i, j) not in mono and a:
-                    mono[i, j] = digits.take(i * LX + j * Lc)
-                for _ in range(abs(a)):
-                    T = T + mono[i, j] if a > 0 else T - mono[i, j]
+                    mono[i, j] = digits.take(xpow[i] + j * Lc if j else xpow[i])
+                if not i:  # the x-free monomials come first
+                    col = col + a * mono[i, j] if a else col
+                    continue
+                op = np.add if a > 0 else np.subtract
+                for _ in range(abs(a)):  # a new T at the first x term, then in place
+                    T = op(col if T is None else T, mono[i, j], out=T)
         chars[name] = F.chi_of_sum(T)
     chars["1-y"] = F.chi_one_minus[cs][:, None]
     return chars
@@ -147,11 +155,10 @@ def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
     squares (x, y) of a field of order q = mod4 mod 4; nothing else is read."""
     (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4, c1y) = (
         chars[k] for k in CHAR_NAMES)
-    # the mirrored forms differ from the listed ones by chi(-1)
-    s_neg = 1 if mod4 == 1 else -1
-    c1x = s_neg * xm1                                  # 1 - x
-    yp1mx, ym1mx = s_neg * xm1my, s_neg * xp1my        # y + 1 - x, y - 1 - x
-    ypxymx, ymxymx = s_neg * xmxymy, s_neg * xpxymy    # y + xy - x, y - xy - x
+    # the mirrored forms differ from the listed ones by chi(-1):
+    # 1 - x; y + 1 - x, y - 1 - x; y + xy - x, y - xy - x
+    c1x, yp1mx, ym1mx, ypxymx, ymxymx = (v if mod4 == 1 else -v
+                                         for v in (xm1, xm1my, xp1my, xmxymy, xpxymy))
 
     m = np.zeros((16, *np.broadcast_shapes(*(v.shape for v in chars.values()))), dtype=bool)
     if mod4 == 1:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ def test_codes_outside_the_field_are_in_no_sigma_pair():
             sigma_count(F, pairs=[pair])
         with pytest.raises(NotInSigma):
             is_mna_C(F, SigmaPair(*pair))
+
+
+def test_codes_beyond_int64_raise_not_in_sigma():
+    # such a code cannot be read into an int64 array: it is still just outside Sigma,
+    # and the first pair outside Sigma is named, wherever the large code sits
+    F = field(13)
+    good = enumerate_sigma(F)[:3]
+    for pair in ((2**64, 3), (2**63, 3), (-2**70, 3), (3, 2**64)):
+        assert not is_sigma_pair(F, *pair)
+        for pairs, named in (([*good, pair], pair), ([*good, (5, 5), pair], (5, 5)),
+                             ([pair, (5, 5)], pair)):
+            for form in (pairs, (p for p in pairs)):
+                with pytest.raises(NotInSigma, match="^" + re.escape(f"{named} is not in Sigma")):
+                    sigma_count(F, pairs=form)
 
 
 # -- method C: the four-character rule against the equation ------------------

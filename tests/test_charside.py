@@ -1,3 +1,4 @@
+import zlib
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from mnaq import assoc, charside
 from mnaq.assoc import ALL_CLASSES, class_code_grid
 from mnaq.charside import (
+    CHAR_NAMES,
+    class_masks,
     is_regular_pair,
     exceptional_pairs,
     orbit_slices,
@@ -214,6 +217,43 @@ def test_slice_chars_match_horner(q):
             if name != "x":
                 assert np.array_equal(chars[name][0], F.chi_table[poly_eval_vec(F, p, X)]), (c, p)
         assert chars["1-y"].tolist() == [[F.chi(F.sub(1, c))]]
+
+
+@pytest.mark.parametrize("q", [13, 27, 125, 1009])
+def test_slice_chars_match_horner_on_blocks(q):
+    # _d_chunk's blocks: several slices of unequal widths, each row padded to the
+    # block's widest with the next log reads, and every entry checked, padding included
+    F = field(q)
+    log, antilog = F.logs
+    _, ring, slices = orbit_slices(F)
+    Lxs = np.tile(log[ring].astype(np.int32), 2)
+    cs, lo, hi = slices.T
+    padded = 0
+    for b in [slice(s, s + rows) for rows in (2, 3) for s in range(0, len(slices), rows)]:
+        cols = np.arange((hi - lo)[b].max())
+        LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
+        padded += int(((hi - lo)[b] < cols.size).any())
+        chars = charside._slice_chars(F, cs[b], LX)
+        for r, c in enumerate(map(int, cs[b])):
+            X = antilog[LX[r]]
+            for name, p in zip(SLICE_POLYS, slice_poly_list(F, c)):
+                if name != "x":
+                    assert np.array_equal(chars[name][r], F.chi_table[poly_eval_vec(F, p, X)])
+            assert chars["1-y"][r].tolist() == [F.chi(F.sub(1, c))]
+    assert padded
+
+
+@pytest.mark.parametrize("mod4, crc", [(1, 0xE45C53DE), (3, 0xC518A01A)])
+def test_class_masks_pinned_on_the_sign_cube(mod4, crc):
+    # every row of the (16, 2^15) mask over the free signs, each sign along its own
+    # axis as reports.limit_constant lays them out; the T count alone is 3812 or 1650
+    n = len(CHAR_NAMES)
+    cube = {name: np.array([1, -1], dtype=np.int8).reshape(tuple(shape))
+            for name, shape in zip(CHAR_NAMES, 1 + np.eye(n, dtype=int))}
+    m = class_masks(mod4, cube)
+    assert m.shape == (16, *(2,) * n) and m.dtype == bool
+    assert zlib.crc32(m.tobytes()) == crc
+    assert (~m.any(axis=0)).sum() == (3812 if mod4 == 1 else 1650)
 
 
 def test_sigma_d_jobs_matches_serial():
