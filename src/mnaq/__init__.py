@@ -41,7 +41,6 @@ from .errors import (
 from .field import Field, make_field, odd_prime_powers
 from .gfpoly import Factorization, factorize
 from .quasigroup import (
-    Quasigroup,
     SigmaPair,
     SPair,
     enumerate_S,

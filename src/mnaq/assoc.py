@@ -22,6 +22,7 @@ Four mutually cross-checking methods:
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from typing import Iterable, NamedTuple
 
@@ -71,32 +72,34 @@ def assoc_eq_holds(F: Field, pair: SigmaPair, u: int, v: int) -> bool:
     return lhs == F.add(pnv, psi(F, pair, F.sub(F.sub(u, v), pnv)))
 
 
-def assoc_eq_vec(F: Field, P: np.ndarray, U: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Vectorized associativity-equation test, psi read from the table P[w] = psi(w)
-    over all of F_q (psi_vec on F.codes); U and V broadcast together."""
-    psi_neg_v = P[F.vneg(np.asarray(V, dtype=np.int64))]
-    lhs = P[F.vsub(P[np.asarray(U, dtype=np.int64)], V)]
-    # u - v - psi(-v) as u - (v + psi(-v)), whose second term lives on V's shape
-    return lhs == F.vadd(psi_neg_v, P[F.vsub(U, F.vadd(V, psi_neg_v))])
+def assoc_eq_terms(F: Field, P: np.ndarray, U: np.ndarray,
+                   V: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(holds, -v, psi(u) - v, u - v - psi(-v)) over code arrays U and V that
+    broadcast together: holds marks psi(psi(u) - v) == psi(-v) + psi(u - v - psi(-v)),
+    psi read from the table P[w] = psi(w) over all of F_q (psi_vec on F.codes)."""
+    V = np.asarray(V, dtype=np.int64)
+    neg_v = F.vneg(V)
+    psi_neg_v = P[neg_v]
+    # u - v - psi(-v) as u - (v + psi(-v)), whose second term lives on V's shape; the
+    # right side comes first, so that its temporaries are freed before e_r is built:
+    # fewer grid-sized arrays alive at once, fewer page faults at large q
+    e_s = F.vsub(U, F.vadd(V, psi_neg_v))
+    rhs = F.vadd(psi_neg_v, P[e_s])
+    e_r = F.vsub(P[np.asarray(U, dtype=np.int64)], V)
+    return P[e_r] == rhs, neg_v, e_r, e_s
 
 
 def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     """Boolean q x q grid G[u, v] of associativity-equation solutions."""
-    return assoc_eq_vec(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.codes[None, :])
+    return assoc_eq_terms(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.codes[None, :])[0]
 
 
 def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     """E(a, b) as a (q, q) int8 grid over (u, v): the class code 8i+4j+2r+s at each
     nontrivial solution, -1 elsewhere."""
-    holds = assoc_eq_grid(F, pair)
-    holds[0, 0] = False
     U = F.codes[:, None]
-    V = F.codes[None, :]
-    psi_u = psi_vec(F, pair, U)
-    neg_v = F.vneg(V)
-    psi_neg_v = psi_vec(F, pair, neg_v)
-    e_r = F.vsub(psi_u, V)
-    e_s = F.vsub(F.vsub(U, V), psi_neg_v)
+    holds, neg_v, e_r, e_s = assoc_eq_terms(F, psi_vec(F, pair, F.codes), U, F.codes[None, :])
+    holds[0, 0] = False
     if (holds & ((U == 0) | (neg_v == 0) | (e_r == 0) | (e_s == 0))).any():
         raise VerificationFailure(
             f"a nontrivial solution at {pair} has a vanishing classifier value")
@@ -132,7 +135,8 @@ def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
     """Method B on scaling representatives only: u in {1, zeta} with v free,
     plus u = 0 with v in {1, zeta}."""
     P, reps = psi_vec(F, pair, F.codes), [[1], [least_nonsquare(F)]]
-    return not (assoc_eq_vec(F, P, reps, F.codes).any() or assoc_eq_vec(F, P, 0, reps).any())
+    return not (assoc_eq_terms(F, P, reps, F.codes)[0].any()
+                or assoc_eq_terms(F, P, 0, reps)[0].any())
 
 
 # ----------------------------------------------------------------------
@@ -210,27 +214,27 @@ def is_mna_C(F: Field, pair: SigmaPair) -> bool:
 
 PAIR_BLOCK = 2048  # pairs per block of sigma_count (about a quarter of its a-rows' cells)
 
-# method -> (size guard of sigma_count, None for none; one-pair decision (F, pair, force)).
-# C decides whole blocks by class_nonempty_vec instead.
+# method -> (size guard of sigma_count, None for none; one-pair decision (F, pair)).
+# C decides whole blocks by class_nonempty_vec instead.  A_COUNT_LIMIT <= A_SCAN_LIMIT,
+# so a count that passed its guard (or was forced past it) needs no per-pair guard.
 _METHODS = {
-    "A": (A_COUNT_LIMIT, lambda F, pair, force: is_mna_A(F, pair, force=force)),
-    "B": (B_COUNT_LIMIT, lambda F, pair, force: is_mna_B(F, pair)),
-    "Bscaled": (BSCALED_COUNT_LIMIT, lambda F, pair, force: is_mna_Bscaled(F, pair)),
+    "A": (A_COUNT_LIMIT, partial(is_mna_A, force=True)),
+    "B": (B_COUNT_LIMIT, is_mna_B),
+    "Bscaled": (BSCALED_COUNT_LIMIT, is_mna_Bscaled),
     "C": (None, None),
 }
 
 
-def _count_chunk(args: tuple[Field, str, bool, bool, np.ndarray]) -> int:
+def _count_chunk(args: tuple[Field, str, bool, np.ndarray]) -> int:
     """MNA pairs of a chunk of Sigma's a-rows (rows) or of pairs, block by block."""
-    F, method, force, rows, items = args
+    F, method, rows, items = args
     step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
     blocks = (sigma_rows(F, items[s:s + step]) if rows else items[s:s + step].T
               for s in range(0, len(items), step))
     if method == "C":
         return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)
     decide = _METHODS[method][1]
-    return sum(decide(F, SigmaPair(*p), force)
-               for a, b in blocks for p in zip(a.tolist(), b.tolist()))
+    return sum(decide(F, SigmaPair(*p)) for a, b in blocks for p in zip(a.tolist(), b.tolist()))
 
 
 def sigma_count(
@@ -249,8 +253,14 @@ def sigma_count(
         raise TooLarge(f"method {method} guarded to q <= {guard}")
     if pairs is None:
         items = np.arange(2, F.q, dtype=np.int64)
+    elif isinstance(pairs, np.ndarray) and pairs.shape[1:] != (2,):
+        raise NotInSigma(f"an array of shape {pairs.shape} is not an (n, 2) array of pairs")
     else:
-        pairs = pairs if isinstance(pairs, np.ndarray) else list(pairs)  # may be read twice
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)  # may be read twice
+            if set(map(len, pairs)) - {2}:
+                bad = next(p for p in pairs if len(p) != 2)
+                raise NotInSigma(f"{tuple(bad)} is not a pair (a, b), so not in Sigma(F_{F.q})")
         try:
             items = (pairs if isinstance(pairs, np.ndarray) else
                      np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2))
@@ -260,4 +270,4 @@ def sigma_count(
             bad = [tuple(items[i].tolist()) for i in np.flatnonzero(~sigma_mask(F, *items.T))[:1]]
         if bad:
             raise NotInSigma(f"{bad[0]} is not in Sigma(F_{F.q})")
-    return sum(chunked_map(_count_chunk, (F, method, force, pairs is None), items, jobs))
+    return sum(chunked_map(_count_chunk, (F, method, pairs is None), items, jobs))

@@ -41,10 +41,9 @@ from .assoc import ALL_CLASSES
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
 from .field import Field, read_only
 from .pool import chunked_map
-from .quasigroup import SPair, is_s_pair
+from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
-T_GRID_LIMIT = 512
 BLOCK_DIGITS = 1 << 14  # log_digits entries (rows x width) per block of sigma_count_D's slices
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
@@ -94,15 +93,10 @@ def s_class_member(F: Field, sp: SPair, cls: tuple[int, int, int, int]) -> bool:
 class SliceEval:
     """One y = c slice of S: its class masks, T mask and the characters they read."""
 
-    c: int
     xs: np.ndarray          # x values of the slice (squares outside {0,1,c})
     classes: np.ndarray     # shape (16, len(xs)): row 8i+4j+2r+s marks S_ij^rs
     t_mask: np.ndarray      # True where (x, c) is in no class
     chars: dict[str, np.ndarray]  # the signs of CHAR_NAMES at (xs, c)
-
-    @property
-    def t_count(self) -> int:
-        return int(self.t_mask.sum())
 
 
 def _square_codes(F: Field) -> np.ndarray:
@@ -119,7 +113,7 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
         raise ValueError("slice_eval takes nonzero codes")
     chars = {k: v[0] for k, v in _slice_chars(F, np.array([c]), F.logs[0][X][None]).items()}
     m = class_masks(F.q % 4, chars)
-    return SliceEval(c=c, xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
+    return SliceEval(xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
 
 
 def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarray]:
@@ -262,8 +256,6 @@ def slice_params(F: Field) -> list[int]:
 
 @dataclass
 class TPartitionReport:
-    q: int
-    mod4: int
     total: int
     parts: dict[str, int]
     r_counts: dict[tuple[int, int, int, int], tuple[int, int, int]] | None
@@ -321,7 +313,7 @@ def t_partition(F: Field) -> TPartitionReport:
     r = np.zeros((3, 16), dtype=np.int64)  # R(rho) on T, on T1 and on T2
     for c in map(int, xs):
         ev = slice_eval(F, c, xs)
-        total += ev.t_count
+        total += int(ev.t_mask.sum())
         pieces = t_pieces(mod4, ev.t_mask, ev.chars)
         for key in acc:
             acc[key] += int(pieces[key].sum())
@@ -359,7 +351,7 @@ def t_partition(F: Field) -> TPartitionReport:
             *(((r[1:, c] == r[1:, HALVES[c]]).all(), f"|Ri{rho}| != |Ri{rhos[HALVES[c]]}|")
               for c, rho in enumerate(rhos)),
         ]
-    return TPartitionReport(F.q, mod4, total, acc, r_counts,
+    return TPartitionReport(total, acc, r_counts,
                             [msg for holds, msg in checks if not holds])
 
 
@@ -422,8 +414,8 @@ def slice_counters(F: Field, c: int) -> SliceCounts:
 
 def t_grid(F: Field) -> np.ndarray:
     """Boolean (q, q) grid of T over (x, y) codes; for symmetry checks."""
-    if F.q > T_GRID_LIMIT:
-        raise TooLarge(f"T grids are materialized only for q <= {T_GRID_LIMIT}")
+    if F.q > CAYLEY_LIMIT:
+        raise TooLarge(f"T grids are materialized only for q <= {CAYLEY_LIMIT}")
     xs = _square_codes(F)
     grid = np.zeros((F.q, F.q), dtype=bool)
     for c in map(int, xs):

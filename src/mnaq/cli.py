@@ -145,6 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs": dict(type=int, default=_default_jobs(),
                        help="worker processes (default: MNA_JOBS or 1)"),
         "--force": dict(action="store_true", help="override method size guards"),
+        "--method": dict(choices=("A", "B", "Bscaled", "C", "D"), default="D"),
     }
 
     def add_common(p: argparse.ArgumentParser, fmt_default: str, *flags: str) -> None:
@@ -156,9 +157,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_count = sub.add_parser("count", help="count sigma(q)")
     p_count.add_argument("--q", type=int, required=True)
-    p_count.add_argument("--method", choices=("A", "B", "Bscaled", "C", "D"),
-                         default="D")
-    add_common(p_count, "json", "--jobs", "--force")
+    add_common(p_count, "json", "--method", "--jobs", "--force")
     p_count.set_defaults(func=_cmd_count)
 
     p_search = sub.add_parser("search", help="random search for an MNA pair")
@@ -177,9 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_density = sub.add_parser("density-table", help="sigma/q^2 table")
     p_density.add_argument("--q", type=int, action="append", required=True,
                            help="repeatable field order")
-    p_density.add_argument("--method", choices=("A", "B", "Bscaled", "C", "D"),
-                           default="D")
-    add_common(p_density, "csv", "--jobs", "--force")
+    add_common(p_density, "csv", "--method", "--jobs", "--force")
     p_density.set_defaults(func=_cmd_density_table)
 
     p_slices = sub.add_parser("slices", help="slice counters with bounds")

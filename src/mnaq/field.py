@@ -87,12 +87,7 @@ def _poly_rem_monic(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
 
 def _poly_is_irreducible(m: Sequence[int], p: int) -> bool:
     """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    k = len(m) - 1
-    if k <= 0:
-        return False
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
+    for d in range(1, (len(m) - 1) // 2 + 1):
         # monic divisors t^d + sum(c_i t^i); enumerate coefficient vectors
         for idx in range(p**d):
             c = []

@@ -40,10 +40,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def poly_add(F: Field, a: Poly, b: Poly) -> Poly:
-    return normalize(F.add(u, v) for u, v in zip_longest(a, b, fillvalue=0))
-
-
 def poly_sub(F: Field, a: Poly, b: Poly) -> Poly:
     return normalize(F.sub(u, v) for u, v in zip_longest(a, b, fillvalue=0))
 

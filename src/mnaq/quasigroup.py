@@ -141,25 +141,9 @@ def is_idempotent(table: np.ndarray) -> bool:
 
 
 @dataclass(frozen=True)
-class Quasigroup:
-    """The quasigroup on F_q defined by a parameter pair."""
-
-    field: Field
-    params: SigmaPair
-
-    def mul(self, u: int, v: int) -> int:
-        return qmul(self.field, self.params, u, v)
-
-    def table(self) -> np.ndarray:
-        return cayley_table(self.field, self.params)
-
-
-@dataclass(frozen=True)
 class OppositeIsoReport:
     """Outcome of the multiplier-isomorphism and opposite checks for one pair."""
 
-    pair: SigmaPair
-    zeta: int
     iso_ok: bool
     opposite_ok: bool
     iso_witness: tuple[int, int] | None
@@ -206,4 +190,4 @@ def opposite_and_iso_checks(F: Field, pair: SigmaPair) -> OppositeIsoReport:
     # entry (u, v) of Q^op is v * u in Q_{a,b}
     opp_wit = _first_mismatch(F.q, lambda U, V: qmul_vec(F, pair, V, U),
                               lambda U, V: qmul_vec(F, opp_params, U, V))
-    return OppositeIsoReport(pair, zeta, iso_ok, opp_wit is None, iso_wit, opp_wit)
+    return OppositeIsoReport(iso_ok, opp_wit is None, iso_wit, opp_wit)

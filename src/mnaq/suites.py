@@ -96,36 +96,27 @@ def suite_bijection(qmax: int, jobs: int = 1) -> SuiteReport:
         rep.add("cardinality", q, len(sigma) == want == len(spairs),
                 f"|Sigma|={len(sigma)} |S|={len(spairs)} formula={want}")
         images = set()
-        ok_round = True
-        ok_inverse_ids = True
+        ok_round = ok_inverse_ids = ok_perm = ok_latin = True
         for pair in sigma:
             sp = psi_map(F, pair)
             images.add(sp)
-            if phi_map(F, sp) != pair:
-                ok_round = False
+            ok_round &= phi_map(F, sp) == pair
             a, b = pair
             x, y = sp
             d = F.inv(F.sub(y, x))
-            if F.sub(1, a) != F.mul(F.mul(y, F.sub(1, x)), d):
-                ok_inverse_ids = False
-            if F.sub(1, b) != F.mul(F.sub(1, x), d):
-                ok_inverse_ids = False
+            ok_inverse_ids &= (F.sub(1, a) == F.mul(F.mul(y, F.sub(1, x)), d)
+                               and F.sub(1, b) == F.mul(F.sub(1, x), d))
+            # orthomorphism property and Latin/idempotent structure
+            psis = [psi(F, pair, u) for u in range(q)]
+            diffs = [F.sub(psis[u], u) for u in range(q)]
+            ok_perm &= len(set(psis)) == q == len(set(diffs))
+            t = cayley_table(F, pair)
+            ok_latin &= is_latin_square(t) and is_idempotent(t)
         rep.add("phi_after_psi", q, ok_round)
         rep.add("psi_injective", q, len(images) == len(sigma))
         rep.add("inverse_identities", q, ok_inverse_ids)
         ok_back = all(psi_map(F, phi_map(F, sp)) == sp for sp in spairs)
         rep.add("psi_after_phi", q, ok_back)
-        # orthomorphism property and Latin/idempotent structure
-        ok_perm = True
-        ok_latin = True
-        for pair in sigma:
-            psis = [psi(F, pair, u) for u in range(q)]
-            diffs = [F.sub(psis[u], u) for u in range(q)]
-            if len(set(psis)) != q or len(set(diffs)) != q:
-                ok_perm = False
-            t = cayley_table(F, pair)
-            if not (is_latin_square(t) and is_idempotent(t)):
-                ok_latin = False
         rep.add("orthomorphism", q, ok_perm)
         rep.add("latin_idempotent", q, ok_latin)
     return rep

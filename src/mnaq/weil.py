@@ -101,7 +101,6 @@ class WeilCount:
 
     n: int
     k: int
-    total_degree: int
     bound: float
     within_bound: bool
 
@@ -121,7 +120,7 @@ def count_sign_pattern(F: Field, specs: list[PolySpec]) -> WeilCount:
     total = sum(degree(s.poly) for s in specs)
     bound = (math.sqrt(F.q) + 1) * total / 2
     within = abs(n - F.q / 2**k) < bound
-    return WeilCount(n, k, total, bound, within)
+    return WeilCount(n, k, bound, within)
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +279,6 @@ SLICE_BLOCK = 256  # parameters c per numpy pass of verify_slice_lists
 
 @dataclass
 class SliceListReport:
-    q: int
     admissible_count: int = 0
     inadmissible_count: int = 0
     inadmissible_slice_param_count: int = 0  # inadmissible c that slice_param_ok accepts
@@ -293,7 +291,7 @@ class SliceListReport:
 
 def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
     F, cs = args
-    rep = SliceListReport(F.q)
+    rep = SliceListReport()
     for lo in range(0, len(cs), SLICE_BLOCK):
         block = np.asarray(cs[lo:lo + SLICE_BLOCK], dtype=np.int64)
         adm = ~_failed_conditions(F, block).any(axis=1)
@@ -307,7 +305,7 @@ def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
 def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
     """Square-freeness of the fixed list, |R(c)| = 7 and the root-separation
     consequences at every admissible c, in blocks of SLICE_BLOCK parameters."""
-    rep = SliceListReport(F.q)
+    rep = SliceListReport()
     for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
         rep.admissible_count += part.admissible_count
         rep.inadmissible_count += part.inadmissible_count
@@ -345,7 +343,6 @@ def random_squarefree_specs(F: Field, rng: SplitMix64) -> list[PolySpec] | None:
 
 @dataclass(frozen=True)
 class WeilTrialReport:
-    q: int
     trials: int
     violations: int
     max_ratio: float  # max of |N - q/2^k| / bound over the trials
@@ -369,4 +366,4 @@ def run_weil_trials(F: Field, n_lists: int, seed: int) -> WeilTrialReport:
         worst = max(worst, gap / res.bound)
         if not res.within_bound:
             violations += 1
-    return WeilTrialReport(F.q, n_lists, violations, worst)
+    return WeilTrialReport(n_lists, violations, worst)

@@ -22,7 +22,7 @@ from mnaq.assoc import (
 )
 from mnaq.charside import sigma_count_D
 from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
-from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, qmul
+from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, psi, qmul
 
 from conftest import field
 
@@ -87,6 +87,33 @@ def test_classify_never_vanishes_on_solutions():
             assert u != 0 and v != 0 and e_r != 0
 
 
+@pytest.mark.parametrize("term", range(4))
+def test_class_code_grid_rejects_a_solution_with_a_vanishing_classifier(monkeypatch, term):
+    # a solution at which exactly one of u, -v, psi(u) - v and u - v - psi(-v)
+    # is 0 has no class; the grid must refuse it rather than give it a code
+    F, pair = field(13), NON_MNA_PAIR_13
+
+    def vanishing(u, v):
+        pnv = psi(F, pair, F.neg(v))
+        values = (u, F.neg(v), F.sub(psi(F, pair, u), v), F.sub(F.sub(u, v), pnv))
+        return [value == 0 for value in values]
+
+    cell = next((u, v) for u in range(13) for v in range(13)
+                if vanishing(u, v) == [k == term for k in range(4)])
+    real = assoc.assoc_eq_terms
+
+    def holds_at_cell_only(*args):
+        holds, *terms = real(*args)
+        holds = np.zeros_like(holds)
+        holds[cell] = True
+        return (holds, *terms)
+
+    monkeypatch.setattr(assoc, "assoc_eq_terms", holds_at_cell_only)
+    with pytest.raises(VerificationFailure, match=re.escape(
+            f"a nontrivial solution at {pair} has a vanishing classifier value")):
+        class_code_grid(F, pair)
+
+
 def test_is_mna_A_guard():
     with pytest.raises(TooLarge):
         is_mna_A(field(81), SigmaPair(2, 3))
@@ -128,7 +155,10 @@ def test_sigma_count_frozen(sigma_small):
 
 
 def test_sigma_count_guards():
-    with pytest.raises(TooLarge):
+    # sigma_count decides method A's pairs by is_mna_A(force=True), leaving the
+    # size guard to its own check, which must therefore be the tighter one
+    assert assoc.A_COUNT_LIMIT <= assoc.A_SCAN_LIMIT
+    with pytest.raises(TooLarge, match=f"q <= {assoc.A_COUNT_LIMIT}$"):
         sigma_count(field(29), "A")
     with pytest.raises(ValueError):
         sigma_count(field(13), "Z")
@@ -168,6 +198,22 @@ def test_sigma_count_takes_pairs_in_every_form(jobs):
     for f in (bad, (p for p in bad), np.array(bad)):
         with pytest.raises(NotInSigma, match=r"^\(5, 5\) is not in Sigma"):
             sigma_count(F, "C", jobs=jobs, pairs=f)
+
+
+def test_sigma_count_names_the_first_item_that_is_not_a_pair():
+    # items are never regrouped: (2, 5, 2), (11, 3, 9) does not count as
+    # (2, 5), (2, 11), (3, 9)
+    F = field(13)
+    good = enumerate_sigma(F)[:3]
+    for items, named in (([(2, 5, 2), (11, 3, 9)], (2, 5, 2)), ([(2, 5, 2), (11, 3)], (2, 5, 2)),
+                         ([*good, (7,), (5, 5)], (7,)), ([*good, [2, 5, 2]], (2, 5, 2))):
+        for form in (items, (p for p in items)):
+            with pytest.raises(NotInSigma, match="^" + re.escape(f"{named} is not a pair")):
+                sigma_count(F, pairs=form)
+    for shape in ((4, 3), (4,), (2, 2, 2), (0,)):
+        with pytest.raises(NotInSigma, match="^" + re.escape(f"an array of shape {shape} ")):
+            sigma_count(F, pairs=np.full(shape, 2))
+    assert sigma_count(F, pairs=np.zeros((0, 2), dtype=np.int64)) == 0
 
 
 def test_codes_outside_the_field_are_in_no_sigma_pair():

@@ -172,7 +172,7 @@ def test_sigma_d_matches_full_scan(monkeypatch):
     for q in odd_prime_powers(3, 400):
         F = field(q)
         squares = [c for c in range(2, q) if F.chi(c) == 1]
-        full = sum(slice_eval(F, c).t_count for c in squares)
+        full = sum(int(slice_eval(F, c).t_mask.sum()) for c in squares)
         assert sigma_count_D(F) == full, q
         widest = max((hi - lo for _, lo, hi in orbit_slices(F)[2]), default=1)
         for rows in (2, 3):
@@ -243,17 +243,59 @@ def test_slice_chars_match_horner_on_blocks(q):
     assert padded
 
 
+def sign_cube() -> dict[str, np.ndarray]:
+    """The CHAR_NAMES signs as free +-1 values, each along its own axis, as
+    reports.limit_constant lays them out."""
+    n = len(CHAR_NAMES)
+    return {name: np.array([1, -1], dtype=np.int8).reshape(tuple(shape))
+            for name, shape in zip(CHAR_NAMES, 1 + np.eye(n, dtype=int))}
+
+
 @pytest.mark.parametrize("mod4, crc", [(1, 0xE45C53DE), (3, 0xC518A01A)])
 def test_class_masks_pinned_on_the_sign_cube(mod4, crc):
-    # every row of the (16, 2^15) mask over the free signs, each sign along its own
-    # axis as reports.limit_constant lays them out; the T count alone is 3812 or 1650
-    n = len(CHAR_NAMES)
-    cube = {name: np.array([1, -1], dtype=np.int8).reshape(tuple(shape))
-            for name, shape in zip(CHAR_NAMES, 1 + np.eye(n, dtype=int))}
-    m = class_masks(mod4, cube)
-    assert m.shape == (16, *(2,) * n) and m.dtype == bool
+    # every row of the (16, 2^15) mask over the free signs; the T count alone is
+    # 3812 or 1650
+    m = class_masks(mod4, sign_cube())
+    assert m.shape == (16, *(2,) * len(CHAR_NAMES)) and m.dtype == bool
     assert zlib.crc32(m.tobytes()) == crc
     assert (~m.any(axis=0)).sum() == (3812 if mod4 == 1 else 1650)
+
+
+def signed_permutation(subst) -> dict[str, tuple[str, int]]:
+    """name -> (image, k) for each of CHAR_NAMES: chi of the name's polynomial at the
+    point subst maps (x, y) to is chi(-1)^k times chi of image's polynomial at (x, y),
+    on pairs of nonzero squares.  subst acts on the exponents (i, j) of x^i y^j; a
+    monomial factor is a square there, so polynomials compare up to one."""
+    def up_to_monomials(terms):
+        low = [min(e) for e in zip(*terms)]
+        return frozenset(((i - low[0], j - low[1]), a) for (i, j), a in terms.items())
+
+    rows = {**SLICE_POLYS, "1-y": ((1, -1),)}
+    terms = {name: {(i, j): a for i, row in enumerate(rows[name])
+                    for j, a in enumerate(row) if a} for name in CHAR_NAMES}
+    forms = {up_to_monomials({e: sign * a for e, a in t.items()}): (name, k)
+             for name, t in terms.items() for k, sign in ((0, 1), (1, -1))}
+    assert len(forms) == 2 * len(CHAR_NAMES)  # no two signs are the same up to sign
+    return {name: forms[up_to_monomials({subst(*e): a for e, a in t.items()})]
+            for name, t in terms.items()}
+
+
+@pytest.mark.parametrize("mod4", [1, 3])
+def test_t_on_the_sign_cube_is_invariant_under_swap_and_inversion(mod4):
+    # D weights each orbit of (x, y) -> (y, x) and (x, y) -> (1/x, 1/y) by its size,
+    # which is sound when T, as a set of sign vectors, is closed under both maps
+    swap = signed_permutation(lambda i, j: (j, i))
+    inversion = signed_permutation(lambda i, j: (-i, -j))
+    assert swap["x-1"] == ("1-y", 1) and swap["1-y"] == ("x-1", 1)
+    assert swap["f1"] == ("f2", 0) and swap["f2"] == ("f1", 0)
+    assert inversion["g1"] == ("g3", 0) and inversion["g3"] == ("g1", 0)
+    chi_minus_one = 1 if mod4 == 1 else -1
+    cube = sign_cube()
+    t = ~class_masks(mod4, cube).any(axis=0)
+    for perm in (swap, inversion):
+        assert sorted(image for image, _ in perm.values()) == sorted(CHAR_NAMES)
+        moved = {name: chi_minus_one**k * cube[image] for name, (image, k) in perm.items()}
+        assert np.array_equal(~class_masks(mod4, moved).any(axis=0), t)
 
 
 def test_sigma_d_jobs_matches_serial():

@@ -44,6 +44,7 @@ COMMANDS = [  # (argv, exit code)
     ("verify --suite bijection --qmax 13 --format csv", EXIT_OK),
     ("count --q 27 --method Bscaled --format csv", EXIT_OK),
     ("count --q 101 --method A", EXIT_GUARD),
+    ("verify --suite methods --qmax 27", EXIT_OK),
 ]
 
 

@@ -76,15 +76,6 @@ def test_s_count_closed_form(q):
     assert spairs == sorted(spairs)
 
 
-def test_quasigroup_wrapper():
-    from mnaq.quasigroup import Quasigroup
-
-    F = field(13)
-    Q = Quasigroup(F, SigmaPair(2, 5))
-    assert Q.mul(0, 4) == psi(F, Q.params, 4)
-    assert is_latin_square(Q.table())
-
-
 def test_psi_basics():
     F = field(13)
     pair = SigmaPair(2, 5)
@@ -202,9 +193,8 @@ def test_opposite_and_iso_across_row_blocks(q, pair, zeta):
     assert 2 * CAYLEY_LIMIT < q  # both checks scan three row blocks
     F = field(q)
     pair = SigmaPair(*pair)
-    assert is_sigma_pair(F, *pair)
-    assert opposite_and_iso_checks(F, pair) == OppositeIsoReport(
-        pair, zeta, True, True, None, None)
+    assert is_sigma_pair(F, *pair) and least_nonsquare(F) == zeta
+    assert opposite_and_iso_checks(F, pair) == OppositeIsoReport(True, True, None, None)
     # the square multiplier zeta^2 is no swap isomorphism; the first mismatch is (0, 1)
     swap = SigmaPair(pair.b, pair.a)
     assert multiplier_is_isomorphism(F, pair, swap, F.mul(zeta, zeta)) == (False, (0, 1))

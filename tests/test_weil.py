@@ -190,7 +190,7 @@ def test_weil_trials_pinned_at_1009(seed, max_ratio):
     # the worst ratio pins every list the trials draw, and the factorizations
     # that decide which candidates are square-free
     rep = run_weil_trials(field(1009), 200, seed)
-    assert rep == weil.WeilTrialReport(1009, 200, 0, max_ratio)
+    assert rep == weil.WeilTrialReport(200, 0, max_ratio)
 
 
 def test_inadmissible_single_condition_status_recorded():
