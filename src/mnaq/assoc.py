@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import partial
 from itertools import chain
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sized
 
 import numpy as np
 
@@ -258,9 +258,14 @@ def sigma_count(
     else:
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)  # may be read twice
-            if set(map(len, pairs)) - {2}:
-                bad = next(p for p in pairs if len(p) != 2)
-                raise NotInSigma(f"{tuple(bad)} is not a pair (a, b), so not in Sigma(F_{F.q})")
+            try:
+                bad = set(map(len, pairs)) - {2}
+            except TypeError:  # an item without a length, such as 7 or None
+                bad = True
+            if bad:
+                bad = next(p for p in pairs if not isinstance(p, Sized) or len(p) != 2)
+                named = tuple(bad) if isinstance(bad, Sized) else bad
+                raise NotInSigma(f"{named} is not a pair (a, b), so not in Sigma(F_{F.q})")
         try:
             items = (pairs if isinstance(pairs, np.ndarray) else
                      np.fromiter(chain.from_iterable(pairs), np.int64).reshape(-1, 2))

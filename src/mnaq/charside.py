@@ -10,8 +10,8 @@ Scanning y = c over squares gives sigma(q) in O(q^2) chi-table lookups; the
 same pass feeds the T-partition bookkeeping and the per-slice counters with
 their stated bounds.
 
-T is closed under the swap (x, y) -> (y, x) and the inversion (x, y) -> (1/x, 1/y),
-so sigma_count_D scans about a quarter of the pairs, weighted by their orbits.
+T is closed under the swap (x, y) -> (y, x), the inversion (x, y) -> (1/x, 1/y) and
+(x, y) -> (x^p, y^p), so sigma_count_D scans about 1/(4k) of the pairs on F_{p^k}.
 
 The rules run on blocks of slices, x given by their logs (slice_eval is the
 one-row view): a SLICE_POLYS entry is a signed sum of its monomials x^i y^j,
@@ -197,31 +197,31 @@ COMPLEMENT = _class_map(lambda c: tuple(1 - bit for bit in c))
 HALVES = _class_map(lambda c: (c.r, c.s, c.i, c.j))
 
 
-def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(inv, ring, slices), read-only: inv[u] = 1/u (inv[0] = 0); ring, the squares
-    outside {0, 1} by class {c, 1/c}, c = min(c, 1/c) ascending; rows (c, lo, hi):
-    slice y = c counts ring twice over [lo, hi), its class and the next half."""
-    inv = F.vinv(F.codes)
+def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(ring, rows), read-only: ring, the squares outside {0, 1} by orbit of u -> 1/u
+    and u -> u^p, each orbit led by its least code, orbits by lead ascending; rows
+    (c, lo, hi, n): c leads the orbit of n squares ring[lo:lo + n], and slice y = c
+    counts ring twice over [lo, hi), its orbit and the next half of the orbits."""
+    log, antilog = F.logs
     xs = _square_codes(F)
-    cs = xs[xs <= inv[xs]]
-    ring = np.column_stack([cs, inv[cs]]).ravel()
-    ring = ring[np.diff(ring, prepend=0) != 0]  # the class {-1} once
-    first = np.flatnonzero(ring <= inv[ring])
-    i = np.arange(cs.size)
-    # two opposite classes (even count): the one in the first half takes the other
-    reach = (cs.size - 1 + (i < cs.size / 2)) // 2
+    e = log[xs]  # in [1, q - 2]: 1 is not in xs
+    lead = np.min([antilog[f * F.p**j % (F.q - 1)] for f in (e, F.q - 1 - e)
+                   for j in range(F.k)], axis=0)
+    ring = xs[np.argsort(lead, kind="stable")]  # xs ascends, so each lead comes first
+    first = np.flatnonzero(ring == np.sort(lead))
+    i = np.arange(first.size)
+    # two opposite orbits (even count): the one in the first half takes the other
+    reach = (first.size - 1 + (i < first.size / 2)) // 2
     ends = np.concatenate([first, first + ring.size, [2 * ring.size]])[i + reach + 1]
-    return read_only(inv, ring, np.column_stack([cs, first, ends]))
+    n = np.diff(first, append=ring.size)
+    return read_only(ring, np.column_stack([ring[first], first, ends, n]))
 
 
 def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
     F, ring, slices = args
-    log = F.logs[0]
-    Lxs = np.tile(log[ring].astype(np.int32), 2)
-    cs, lo, hi = slices.T
-    width, Lc, Linv = hi - lo, log[cs], log[F.vinv(cs)]
-    # weight 4, or 2 on the slice c = -1; x = 1/c (an orbit of size 2) 2 less
-    weight = np.where(Lc == Linv, 2, 4)
+    Lxs = np.tile(F.logs[0][ring].astype(np.int32), 2)
+    cs, lo, hi, n = slices.T
+    width = hi - lo
     rows = max(1, BLOCK_DIGITS // int(width.max(initial=1)))
     total = 0
     for s in range(0, len(slices), rows):
@@ -229,19 +229,23 @@ def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
         cols = np.arange(width[b].max())
         LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
         t = ~class_masks(F.q % 4, _slice_chars(F, cs[b], LX)).any(axis=0)
-        t &= (cols < width[b, None]) & (LX != Lc[b, None])
-        total += int(((weight[b, None] - 2 * (LX == Linv[b, None])) * t).sum())
+        t &= cols < width[b, None]
+        t[:, 0] = False  # x = c, the lead of its orbit
+        # x in c's own orbit counts n, a later x 2n (the swap gives the reverse pairs)
+        own = t[:, :n[b].max()] & (cols[:n[b].max()] < n[b, None])
+        total += int(n[b] @ (2 * t.sum(axis=1) - own.sum(axis=1)))
     return total
 
 
 def sigma_count_D(F: Field, jobs: int = 1) -> int:
-    """sigma(q) = |T|, counting one pair per orbit of the swap and the inversion.
+    """sigma(q) = |T|, scanning one slice y = c per orbit of u -> 1/u and u -> u^p.
 
-    T is closed under (x, y) -> (y, x) and (x, y) -> (1/x, 1/y).  The slices y = c,
-    c <= 1/c (orbit_slices) meet an orbit once per class {u, 1/u} of its coordinates
-    (c = -1 twice).  A pair with x = 1/c (orbit size 2) counts 2; any other counts on
-    the slice whose next half of the classes holds the other class: 4, or 2 at c = -1."""
-    _, ring, slices = orbit_slices(F)
+    T is closed under (x, y) -> (y, x), (x, y) -> (1/x, 1/y) and (x, y) -> (x^p, y^p)
+    (each class_masks sign is chi of a polynomial with integer coefficients).  So the
+    pairs with y in c's orbit of n squares and x in an orbit O hold n times the T pairs
+    of the slice y = c over O, and those with x and y swapped as many; orbit_slices
+    pairs every two orbits once, so an x of c's own orbit counts n and any other 2n."""
+    ring, slices = orbit_slices(F)
     return sum(chunked_map(_d_chunk, (F, ring), slices, jobs))
 
 

@@ -216,6 +216,16 @@ def test_sigma_count_names_the_first_item_that_is_not_a_pair():
     assert sigma_count(F, pairs=np.zeros((0, 2), dtype=np.int64)) == 0
 
 
+def test_sigma_count_names_an_item_without_a_length():
+    # 7 or None among the pairs is named, from a list or a generator alike
+    F = field(13)
+    good = enumerate_sigma(F)[:3]
+    for items, named in (([(2, 5), 7], 7), ([*good, None, (5, 5)], None), ([None], None)):
+        for form in (items, (p for p in items)):
+            with pytest.raises(NotInSigma, match="^" + re.escape(f"{named} is not a pair")):
+                sigma_count(F, "C", pairs=form)
+
+
 def test_codes_outside_the_field_are_in_no_sigma_pair():
     # -1 must not wrap to q - 1, and q must not raise IndexError from one path only
     F = field(13)

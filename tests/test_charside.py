@@ -31,6 +31,11 @@ from mnaq.weil import SLICE_POLYS, slice_param_admissible, slice_poly_list, tabl
 from conftest import field
 
 
+def frobenius(F):
+    """u -> u^p at every code, by the scalar pow."""
+    return np.array([F.pow(u, F.p) for u in range(F.q)])
+
+
 def table_grids(F):
     """Each SLICE_POLYS entry on the (q, q) grid, indexed [x, y]."""
     X, Y = F.codes[:, None], F.codes[None, :]
@@ -168,13 +173,14 @@ def test_sigma_d_matches_method_c(q, sigma_small):
 def test_sigma_d_matches_full_scan(monkeypatch):
     # the full scan over every pair of every slice, kept here as the oracle
     # for the orbit-weighted count; D runs at the shipped block size and in
-    # blocks of 2 and 3 slices, whose widths differ by up to two
-    for q in odd_prime_powers(3, 400):
+    # blocks of 2 and 3 slices of unequal widths.  625, 729 and 1331 have
+    # subfields, so some of their orbits are shorter than 2k
+    for q in [*odd_prime_powers(3, 400), 625, 729, 1331]:
         F = field(q)
         squares = [c for c in range(2, q) if F.chi(c) == 1]
         full = sum(int(slice_eval(F, c).t_mask.sum()) for c in squares)
         assert sigma_count_D(F) == full, q
-        widest = max((hi - lo for _, lo, hi in orbit_slices(F)[2]), default=1)
+        widest = max((hi - lo for _, lo, hi, _ in orbit_slices(F)[1]), default=1)
         for rows in (2, 3):
             monkeypatch.setattr(charside, "BLOCK_DIGITS", rows * widest)
             assert sigma_count_D(F) == full, (q, rows)
@@ -225,9 +231,9 @@ def test_slice_chars_match_horner_on_blocks(q):
     # block's widest with the next log reads, and every entry checked, padding included
     F = field(q)
     log, antilog = F.logs
-    _, ring, slices = orbit_slices(F)
+    ring, slices = orbit_slices(F)
     Lxs = np.tile(log[ring].astype(np.int32), 2)
-    cs, lo, hi = slices.T
+    cs, lo, hi, _ = slices.T
     padded = 0
     for b in [slice(s, s + rows) for rows in (2, 3) for s in range(0, len(slices), rows)]:
         cols = np.arange((hi - lo)[b].max())
@@ -300,9 +306,41 @@ def test_t_on_the_sign_cube_is_invariant_under_swap_and_inversion(mod4):
 
 def test_sigma_d_jobs_matches_serial():
     # from q = 61 on D scans at least 8 slices, so the fork pool runs
-    for q in (31, 61, 67, 125, 243):
+    for q in (31, 61, 67, 125, 243, 2401):
         F = field(q)
         assert sigma_count_D(F, jobs=2) == sigma_count_D(F), q
+
+
+@pytest.mark.parametrize("q, sigma", [(6561, 1251016), (19683, 4884108)])
+def test_sigma_d_pinned_on_extension_fields(q, sigma):
+    # pinned from D over classes {c, 1/c}, a scan that does not use the Frobenius map
+    assert sigma_count_D(field(q)) == sigma
+
+
+@pytest.mark.parametrize("q", [13, 81, 625, 729])
+def test_orbit_slices_cover_every_pair_of_orbits_once(q):
+    F = field(q)
+    ring, slices = orbit_slices(F)
+    squares = charside._square_codes(F)
+    assert sorted(ring.tolist()) == squares.tolist()  # each square outside {0, 1} once
+    inv, frob = F.vinv(F.codes), frobenius(F)
+    orbit_of = np.empty(q, dtype=np.int64)
+    for i, (c, lo, hi, n) in enumerate(slices):
+        orbit = ring[lo:lo + n]
+        assert orbit[0] == c == orbit.min()
+        assert set(inv[orbit]) == set(frob[orbit]) == set(orbit.tolist())
+        orbit_of[orbit] = i
+    assert np.array_equal(slices[:, 0], np.sort(slices[:, 0]))
+    # the window of each row holds its own orbit and some later ones, wrapping round;
+    # each unordered pair of distinct orbits meets in exactly one window
+    seen = np.zeros((len(slices),) * 2, dtype=np.int64)
+    twice = np.tile(ring, 2)
+    for i, (c, lo, hi, n) in enumerate(slices):
+        others = np.unique(orbit_of[twice[lo + n:hi]])
+        assert i not in others and slices[others, 3].sum() == hi - lo - n  # whole orbits
+        seen[i, others] += 1
+        seen[others, i] += 1
+    assert np.array_equal(seen, 1 - np.eye(len(slices), dtype=np.int64))
 
 
 def test_slice_params_rule():
@@ -445,6 +483,17 @@ def test_slice_sums_reconcile_with_partition(q):
             sums[key] = sums.get(key, 0) + val
     for key, val in sums.items():
         assert val == part.parts[key]
+
+
+@pytest.mark.parametrize("q", [27, 49, 81, 125, 243, 343])
+def test_t_closed_under_frobenius(q):
+    # D scans one slice per orbit of u -> 1/u and u -> u^p: every sign class_masks
+    # reads is chi of a polynomial with integer coefficients, so T is closed
+    # under (x, y) -> (x^p, y^p)
+    F = field(q)
+    frob = frobenius(F)
+    grid = t_grid(F)
+    assert grid.any() and (grid == grid[np.ix_(frob, frob)]).all()
 
 
 @pytest.mark.parametrize("q", [13, 19])

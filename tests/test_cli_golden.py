@@ -45,6 +45,7 @@ COMMANDS = [  # (argv, exit code)
     ("count --q 27 --method Bscaled --format csv", EXIT_OK),
     ("count --q 101 --method A", EXIT_GUARD),
     ("verify --suite methods --qmax 27", EXIT_OK),
+    ("density-table --q 2187 --q 3125 --q 6561", EXIT_OK),
 ]
 
 
