@@ -3,23 +3,19 @@
 Membership of (x, y) in a class S_ij^rs is decided purely from quadratic
 characters of the polynomial family weil.SLICE_POLYS: class_masks holds the
 rules (one set per residue of q mod 4) as a function of those signs alone.
-slice_eval applies them to a whole slice y = c, sigma_count_D to blocks of
-slices, and reports.limit_constant to every sign vector; s_class_member reads
+slice_eval applies them to a whole slice y = c, sigma_count_D to blocks of lines
+x = λy, and reports.limit_constant to every sign vector; s_class_member reads
 one entry of slice_eval's masks, so checking membership checks the counting code.
-Scanning y = c over squares gives sigma(q) in O(q^2) chi-table lookups; the
-same pass feeds the T-partition bookkeeping and the per-slice counters with
+The slices also feed the T-partition bookkeeping and the per-slice counters with
 their stated bounds.
 
 T is closed under the swap (x, y) -> (y, x), the inversion (x, y) -> (1/x, 1/y) and
 (x, y) -> (x^p, y^p), so sigma_count_D scans about 1/(4k) of the pairs on F_{p^k}.
 
-The rules run on blocks of slices, x given by their logs (slice_eval is the
-one-row view): a SLICE_POLYS entry is a signed sum of its monomials x^i y^j,
-entries i*log(x) + j*log(y) of Field.log_digits (one integer per element, its
-digits packed on an extension field).  A block gathers each monomial once, the
-x-free ones (1, y, y^2) one column per slice; an entry sums its x-free terms in
-that column, adds its x terms in place at full width and costs one
-Field.chi_of_sum, with no reduction mod q.
+On a line x = λy each sign is a window of chi(1 + g^e): an entry's monomials
+x^i y^j take at most two total degrees, so it is y^d (A(λ) y + B(λ)), and on a
+square y its chi is chi(B) chi(1 + (A/B) y) (LINE_COEFFS).  A block of lines
+copies one row of _sign_tile per sign; slice_eval reads the same offsets, x by x.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -32,22 +28,43 @@ class (0,0,0,0) when q = 1 mod 4 and of class (0,1,1,0) when q = 3 mod 4.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .assoc import ALL_CLASSES
-from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge
+from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge, VerificationFailure
 from .field import Field, read_only
 from .pool import chunked_map
 from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
-BLOCK_DIGITS = 1 << 14  # log_digits entries (rows x width) per block of sigma_count_D's slices
+BLOCK_SIGNS = 1 << 14  # signs (rows x width) of one name per block of sigma_count_D's lines
+LINE_ROWS = 1 << 8  # lines per evaluation of their polynomials in _line_signs
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
 CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
+
+
+def _line_coeffs() -> np.ndarray:
+    """(3, 2, 15): [i, 0, n] and [i, 1, n] are the λ^i coefficients of B and A, where
+    P(λy, y) = y^d (A(λ) y + B(λ)) for P = CHAR_NAMES[n]: B and A group P's monomials
+    x^i y^j by total degree i + j, which must take at most two consecutive values."""
+    out = np.zeros((3, 2, len(CHAR_NAMES)), dtype=np.int64)
+    for n, poly in enumerate([*list(SLICE_POLYS.values())[1:], ((1, -1),)]):
+        terms = [(i, i + j, a) for i, row in enumerate(poly) for j, a in enumerate(row) if a]
+        low = min(d for _, d, _ in terms)
+        for i, d, a in terms:
+            if d > low + 1:
+                raise VerificationFailure(f"{CHAR_NAMES[n]} spans more than two total degrees")
+            out[i, d - low, n] += a
+    return out
+
+
+LINE_COEFFS = _line_coeffs()
 
 
 def _irregular_xs(F: Field, y: int) -> list[int]:
@@ -103,43 +120,47 @@ def _square_codes(F: Field) -> np.ndarray:
     return np.flatnonzero(F.chi_table == 1)[1:]  # 1 is the least square
 
 
+def _sign_tile(F: Field) -> np.ndarray:
+    """C[e] = chi(1 + g^e) for e in [0, 2(q - 1)), then -C, then runs of q + 1 zeros, ones
+    and minus ones (7q - 1 entries, an even count): each sign a line reads is one entry."""
+    C = np.tile(F.chi_one_minus[np.roll(F.logs[1], (F.q - 1) // 2)], 2)  # 1 - g^(e + (q-1)/2)
+    return np.concatenate([C, -C, np.repeat(np.array([0, 1, -1], dtype=np.int8), F.q + 1)])
+
+
+def _line_signs(F: Field, e: np.ndarray) -> np.ndarray:
+    """Offsets, int32 (15, e.size): the CHAR_NAMES signs at (g^e y, y), y a nonzero square,
+    are _sign_tile(F)[off + log y]: chi(B) C[log(A/B) + log y] for the A and B of
+    LINE_COEFFS (from the base-p digits of λ^i), or chi(B), chi(A) or 0 where A, B vanish."""
+    if e.size > LINE_ROWS:  # in pieces, so that the temporaries stay small
+        return np.hstack([_line_signs(F, e[s:s + LINE_ROWS]) for s in range(0, e.size, LINE_ROWS)])
+    (log, antilog), N, places = F.logs, F.q - 1, F.p ** np.arange(F.k)
+    digits = antilog[np.multiply.outer(np.arange(3), e) % N, None] // places % F.p  # of λ^i
+    lB, lA = log[np.tensordot(LINE_COEFFS, digits, (0, 0)) % F.p @ places]
+    zB, zA = lB < 0, lA < 0  # log 0 = -1
+    # chi(g^l) = (-1)^l picks C or -C, and for a constant the run of 1 or -1 (or 0)
+    const = 4 * N + (F.q + 1) * np.where(zA & zB, 0, 1 + (np.where(zB, lA, lB) & 1))
+    return np.where(zA | zB, const, (lA - lB + N) % N + 2 * N * (lB & 1)).astype(np.int32)
+
+
+@functools.lru_cache(maxsize=1)
+def _line_table(F: Field) -> tuple[np.ndarray, np.ndarray]:
+    """(_sign_tile(F), _line_signs at every e < q - 1), read-only, for slice_eval."""
+    return read_only(_sign_tile(F), _line_signs(F, np.arange(F.q - 1)))
+
+
 def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
     """Evaluate every class rule on the slice y = c at the x in xs (default: the
-    squares outside {0, 1}); c and the x are read by their logs, so nonzero."""
+    squares outside {0, 1}), each x on its line x = (x/c) y; c a square, the x nonzero."""
     if xs is None:
         xs = _square_codes(F)
     X = xs[xs != c]
-    if c == 0 or not X.all():
-        raise ValueError("slice_eval takes nonzero codes")
-    chars = {k: v[0] for k, v in _slice_chars(F, np.array([c]), F.logs[0][X][None]).items()}
+    if F.chi_table[c] != 1 or not X.all():
+        raise ValueError("slice_eval takes a nonzero square c and nonzero x")
+    tile, off = _line_table(F)
+    log = F.logs[0]
+    chars = dict(zip(CHAR_NAMES, tile[log[c]:][off[:, (log[X] - log[c]) % (F.q - 1)]]))
     m = class_masks(F.q % 4, chars)
     return SliceEval(xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
-
-
-def _slice_chars(F: Field, cs: np.ndarray, LX: np.ndarray) -> dict[str, np.ndarray]:
-    """The CHAR_NAMES signs at (x, y) = (g^LX[b], cs[b]), each SLICE_POLYS entry
-    summed from the log_digits entries of its monomials: the x-free ones (and "1-y")
-    one column per slice, then each x term added in place at full width."""
-    digits, zero, _ = F.log_digits
-    Lc = F.logs[0][cs][:, None].astype(LX.dtype)
-    xpow = {0: 0, 1: LX, 2: 2 * LX}  # the log of x^i; SLICE_POLYS has degree 2 in x
-    mono: dict[tuple[int, int], np.ndarray] = {}
-    chars = {}
-    for name in CHAR_NAMES[:-1]:
-        col, T = zero, None
-        for i, row in enumerate(SLICE_POLYS[name]):
-            for j, a in enumerate(row):
-                if (i, j) not in mono and a:
-                    mono[i, j] = digits.take(xpow[i] + j * Lc if j else xpow[i])
-                if not i:  # the x-free monomials come first
-                    col = col + a * mono[i, j] if a else col
-                    continue
-                op = np.add if a > 0 else np.subtract
-                for _ in range(abs(a)):  # a new T at the first x term, then in place
-                    T = op(col if T is None else T, mono[i, j], out=T)
-        chars[name] = F.chi_of_sum(T)
-    chars["1-y"] = F.chi_one_minus[cs][:, None]
-    return chars
 
 
 def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
@@ -197,56 +218,48 @@ COMPLEMENT = _class_map(lambda c: tuple(1 - bit for bit in c))
 HALVES = _class_map(lambda c: (c.r, c.s, c.i, c.j))
 
 
-def orbit_slices(F: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(ring, rows), read-only: ring, the squares outside {0, 1} by orbit of u -> 1/u
-    and u -> u^p, each orbit led by its least code, orbits by lead ascending; rows
-    (c, lo, hi, n): c leads the orbit of n squares ring[lo:lo + n], and slice y = c
-    counts ring twice over [lo, hi), its orbit and the next half of the orbits."""
-    log, antilog = F.logs
-    xs = _square_codes(F)
-    e = log[xs]  # in [1, q - 2]: 1 is not in xs
-    lead = np.min([antilog[f * F.p**j % (F.q - 1)] for f in (e, F.q - 1 - e)
-                   for j in range(F.k)], axis=0)
-    ring = xs[np.argsort(lead, kind="stable")]  # xs ascends, so each lead comes first
-    first = np.flatnonzero(ring == np.sort(lead))
-    i = np.arange(first.size)
-    # two opposite orbits (even count): the one in the first half takes the other
-    reach = (first.size - 1 + (i < first.size / 2)) // 2
-    ends = np.concatenate([first, first + ring.size, [2 * ring.size]])[i + reach + 1]
-    n = np.diff(first, append=ring.size)
-    return read_only(ring, np.column_stack([ring[first], first, ends, n]))
+def orbit_lines(F: Field) -> np.ndarray:
+    """(m, n) rows, read-only: the line x = g^(2m) y of each orbit of m -> -m, m -> pm mod
+    (q - 1)/2 (λ -> 1/λ, λ -> λ^p on squares λ != 0, 1), m its least of n, ascending."""
+    M = (F.q - 1) // 2
+    m = np.arange(1, M)
+    lead = np.min([s * m * pow(F.p, j, M) % M for s in (1, -1) for j in range(F.k)], axis=0)
+    n = np.bincount(lead, minlength=M)
+    return read_only(np.column_stack([np.flatnonzero(n), n[n > 0]]))[0]
 
 
 def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
-    F, ring, slices = args
-    Lxs = np.tile(F.logs[0][ring].astype(np.int32), 2)
-    cs, lo, hi, n = slices.T
-    width = hi - lo
-    rows = max(1, BLOCK_DIGITS // int(width.max(initial=1)))
+    F, tile, lines = args
+    M, width = (F.q - 1) // 2, (F.q + 3) // 4  # width: the y a line scans, (q - 1)//4 + 1
+    m, n = lines.T
+    # y = g^(2k) for k in [start, start + width); k -> r - k (the swap after the inversion)
+    # gives the other y, and x = 1 at k = r.  A k weighs 2, a fixed point 2k = r mod M 1,
+    # the last column 0 when M is even and r odd; cut is 2 minus the first and last weights
+    r = M - m
+    start = (r + 1) // 2
+    cut = np.column_stack([1 - r % 2, r % 2 + 1 - M % 2])
+    off = _line_signs(F, 2 * m) + (2 * start).astype(np.int32)
+    # the signs at off are tile[off::2][:width], a window of one parity of tile
+    windows = sliding_window_view(np.stack([tile[::2], tile[1::2]]), width, axis=1)
+    rows = max(1, BLOCK_SIGNS // width)
     total = 0
-    for s in range(0, len(slices), rows):
+    for s in range(0, len(lines), rows):
         b = slice(s, s + rows)
-        cols = np.arange(width[b].max())
-        LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
-        t = ~class_masks(F.q % 4, _slice_chars(F, cs[b], LX)).any(axis=0)
-        t &= cols < width[b, None]
-        t[:, 0] = False  # x = c, the lead of its orbit
-        # x in c's own orbit counts n, a later x 2n (the swap gives the reverse pairs)
-        own = t[:, :n[b].max()] & (cols[:n[b].max()] < n[b, None])
-        total += int(n[b] @ (2 * t.sum(axis=1) - own.sum(axis=1)))
+        half, odd = np.divmod(off[:, b], 2)
+        t = ~class_masks(F.q % 4, dict(zip(CHAR_NAMES, windows[odd, half]))).any(axis=0)
+        t[np.arange(t.shape[0]), (r - start)[b]] = False
+        total += int(n[b] @ (2 * t.sum(axis=1) - (t[:, [0, -1]] * cut[b]).sum(axis=1)))
     return total
 
 
 def sigma_count_D(F: Field, jobs: int = 1) -> int:
-    """sigma(q) = |T|, scanning one slice y = c per orbit of u -> 1/u and u -> u^p.
+    """sigma(q) = |T|, scanning one line x = λy per orbit of λ -> 1/λ and λ -> λ^p.
 
-    T is closed under (x, y) -> (y, x), (x, y) -> (1/x, 1/y) and (x, y) -> (x^p, y^p)
-    (each class_masks sign is chi of a polynomial with integer coefficients).  So the
-    pairs with y in c's orbit of n squares and x in an orbit O hold n times the T pairs
-    of the slice y = c over O, and those with x and y swapped as many; orbit_slices
-    pairs every two orbits once, so an x of c's own orbit counts n and any other 2n."""
-    ring, slices = orbit_slices(F)
-    return sum(chunked_map(_d_chunk, (F, ring), slices, jobs))
+    T is closed under (x, y) -> (y, x), (1/x, 1/y) and (x^p, y^p) (each class_masks sign is
+    chi of a polynomial with integer coefficients), which send the line of λ to those of
+    1/λ, 1/λ and λ^p, so a line weighs the n of its orbit; the first two together keep
+    the line and send y to 1/x, so a line scans half its y, each twice, a fixed y once."""
+    return sum(chunked_map(_d_chunk, (F, _sign_tile(F)), orbit_lines(F), jobs))
 
 
 def slice_params(F: Field) -> list[int]:

@@ -15,7 +15,7 @@ generator g by code, built with the field from one k x k matrix over F_p,
 "multiply by g".  The quadratic character chi maps nonzero squares to +1,
 nonsquares to -1 and 0 to 0; on an extension field it is the parity of the log.
 A prime field keeps % arithmetic, marks chi at u*u for every nonzero u, and
-builds its log tables on first use.  The counters' character sums add powers of g
+builds its log tables on first use.  Method C's character sums add powers of g
 as Field.log_digits rows: on an extension field, k base-p digits packed in one
 int64 that add without a carry, read by one table lookup per group of digits.
 gfpoly's kernels add Field.lifts, the same digits packed in Python integers.
@@ -362,7 +362,8 @@ class Field:
         LOG_DIGIT_TILES*(q-1), so monomials need no log reduction: the code on a prime
         field, else its k base-p digits in one int64, packed_bits(p) bits each.
         chi_of_sum reads zero plus a signed sum of at most SUM_TERMS rows; zero holds
-        span in every digit, so a digit stays in [0, 2*span] and carries nothing."""
+        span in every digit, so a digit stays in [0, 2*span] and carries nothing.  The
+        sums serve method C only."""
         p, k, antilog = self.p, self.k, self.logs[1]
         span = SUM_TERMS * (p - 1)  # a digit of a sum lies in [-span, span]
         if k == 1:  # chi(t mod q) at t + span, for t = -span, ..., span

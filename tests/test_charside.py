@@ -11,7 +11,7 @@ from mnaq.charside import (
     class_masks,
     is_regular_pair,
     exceptional_pairs,
-    orbit_slices,
+    orbit_lines,
     s_class_member,
     sigma_count_D,
     slice_counters,
@@ -20,7 +20,7 @@ from mnaq.charside import (
     t_grid,
     t_partition,
 )
-from mnaq.errors import BadSliceParam, IrregularPair, NotInS
+from mnaq.errors import BadSliceParam, IrregularPair, NotInS, VerificationFailure
 from mnaq.field import LOG_DIGIT_TILES, SUM_TERMS, odd_prime_powers
 from mnaq.gfpoly import poly_eval_vec
 from mnaq.quasigroup import SPair, enumerate_S, phi_map
@@ -92,6 +92,13 @@ def test_slice_eval_rejects_zero():
         slice_eval(F, 0)
     with pytest.raises(ValueError):
         slice_eval(F, 4, np.array([0, 3, 9]))
+
+
+def test_slice_eval_rejects_a_nonsquare_c():
+    # a sign on the line x = (x/c) y drops chi(c^d), which is 1 for a square c only
+    F = field(13)
+    with pytest.raises(ValueError):
+        slice_eval(F, 2)
 
 
 def test_exceptional_pair_raises():
@@ -173,27 +180,23 @@ def test_sigma_d_matches_method_c(q, sigma_small):
 def test_sigma_d_matches_full_scan(monkeypatch):
     # the full scan over every pair of every slice, kept here as the oracle
     # for the orbit-weighted count; D runs at the shipped block size and in
-    # blocks of 2 and 3 slices of unequal widths.  625, 729 and 1331 have
-    # subfields, so some of their orbits are shorter than 2k
+    # blocks of 2 and 3 lines.  625, 729 and 1331 have subfields, so some of
+    # their orbits are shorter than 2k
     for q in [*odd_prime_powers(3, 400), 625, 729, 1331]:
         F = field(q)
         squares = [c for c in range(2, q) if F.chi(c) == 1]
         full = sum(int(slice_eval(F, c).t_mask.sum()) for c in squares)
         assert sigma_count_D(F) == full, q
-        widest = max((hi - lo for _, lo, hi, _ in orbit_slices(F)[1]), default=1)
+        width = (q - 1) // 4 + 1  # the y a line scans, padding included
         for rows in (2, 3):
-            monkeypatch.setattr(charside, "BLOCK_DIGITS", rows * widest)
+            monkeypatch.setattr(charside, "BLOCK_SIGNS", rows * width)
             assert sigma_count_D(F) == full, (q, rows)
         monkeypatch.undo()
 
 
-def test_slice_polys_fit_the_sum_lookup():
-    # _slice_chars sums each entry's monomials unreduced from tiled log rows
-    for poly in SLICE_POLYS.values():
-        assert sum(abs(a) for row in poly for a in row) <= SUM_TERMS
-        assert all(i + j <= LOG_DIGIT_TILES for i, row in enumerate(poly)
-                   for j, a in enumerate(row) if a)
-    # so does method C's assoc.class_nonempty_vec, over the monomials a^m b^n
+def test_method_c_polys_fit_the_sum_lookup():
+    # method C's assoc.class_nonempty_vec sums the monomials a^m b^n of each of its
+    # polynomials unreduced from tiled log rows
     terms = np.abs(assoc._C_POLYS).sum(axis=1)
     degree = (assoc._C_POLYS != 0) * assoc._MONOS.sum(axis=1)
     assert (terms.max(), degree.max()) == (4, 3)
@@ -214,39 +217,58 @@ def test_limit_constant_is_the_share_of_the_sign_cube_in_t(q):
 def test_slice_chars_match_horner(q):
     # the Horner route through the specialised list, kept here as the oracle
     F = field(q)
-    log = F.logs[0]
     for c in map(int, charside._square_codes(F)):
-        X = slice_eval(F, c).xs
-        chars = charside._slice_chars(F, np.array([c]), log[X][None])
-        assert list(chars) == list(SLICE_POLYS)[1:] + ["1-y"]
+        ev = slice_eval(F, c)
+        assert list(ev.chars) == list(SLICE_POLYS)[1:] + ["1-y"]
         for name, p in zip(SLICE_POLYS, slice_poly_list(F, c)):
             if name != "x":
-                assert np.array_equal(chars[name][0], F.chi_table[poly_eval_vec(F, p, X)]), (c, p)
-        assert chars["1-y"].tolist() == [[F.chi(F.sub(1, c))]]
+                want = F.chi_table[poly_eval_vec(F, p, ev.xs)]
+                assert np.array_equal(ev.chars[name], want), (c, p)
+        assert (ev.chars["1-y"] == F.chi(F.sub(1, c))).all()
 
 
-@pytest.mark.parametrize("q", [13, 27, 125, 1009])
-def test_slice_chars_match_horner_on_blocks(q):
-    # _d_chunk's blocks: several slices of unequal widths, each row padded to the
-    # block's widest with the next log reads, and every entry checked, padding included
+def line_parts(F, lam):
+    """[B, A] for each CHAR_NAMES entry at the codes lam, from charside.LINE_COEFFS by
+    Horner's rule, and the degree d of P(λy, y) = y^d (A(λ) y + B(λ)) from SLICE_POLYS."""
+    coeffs = charside.LINE_COEFFS.transpose(2, 1, 0)  # name, B or A, power of λ
+    parts = [[poly_eval_vec(F, tuple(map(F.embed, row)), lam) for row in name]
+             for name in coeffs]
+    low = [min(i + j for i, row in enumerate(poly) for j, a in enumerate(row) if a)
+           for poly in [*list(SLICE_POLYS.values())[1:], ((1, -1),)]]
+    return parts, low
+
+
+def check_line_identity(F, X, Y):
+    lam = F.vmul(X, F.vinv(Y))
+    parts, low = line_parts(F, lam)
+    for name, (B, A), d in zip(CHAR_NAMES, parts, low):
+        P = F.vsub(1, Y) if name == "1-y" else table_eval(F, name, X, Y)
+        y_d = F.vmul(Y, Y) if d == 2 else Y if d == 1 else np.ones_like(Y)
+        assert np.array_equal(P, F.vmul(y_d, F.vadd(F.vmul(A, Y), B))), name
+
+
+@pytest.mark.parametrize("q", [13, 25, 27, 49, 81, 125])
+def test_line_polys_at_every_pair_of_squares(q):
+    # each sign D reads is chi(y^d (A(λ) y + B(λ))) on the line x = λy
     F = field(q)
-    log, antilog = F.logs
-    ring, slices = orbit_slices(F)
-    Lxs = np.tile(log[ring].astype(np.int32), 2)
-    cs, lo, hi, _ = slices.T
-    padded = 0
-    for b in [slice(s, s + rows) for rows in (2, 3) for s in range(0, len(slices), rows)]:
-        cols = np.arange((hi - lo)[b].max())
-        LX = np.take(Lxs, lo[b, None] + cols, mode="clip")
-        padded += int(((hi - lo)[b] < cols.size).any())
-        chars = charside._slice_chars(F, cs[b], LX)
-        for r, c in enumerate(map(int, cs[b])):
-            X = antilog[LX[r]]
-            for name, p in zip(SLICE_POLYS, slice_poly_list(F, c)):
-                if name != "x":
-                    assert np.array_equal(chars[name][r], F.chi_table[poly_eval_vec(F, p, X)])
-            assert chars["1-y"][r].tolist() == [F.chi(F.sub(1, c))]
-    assert padded
+    squares = charside._square_codes(F)
+    X, Y = (a.ravel() for a in np.meshgrid(np.append(squares, 1), np.append(squares, 1)))
+    check_line_identity(F, X, Y)
+
+
+@pytest.mark.parametrize("q", [2187, 10009])
+def test_line_polys_at_random_pairs_of_squares(q):
+    F = field(q)
+    squares = np.flatnonzero(F.chi_table == 1)
+    X, Y = np.random.default_rng(q).choice(squares, (2, 10**4))
+    check_line_identity(F, X, Y)
+
+
+def test_line_polys_reject_three_degrees(monkeypatch):
+    # an entry with monomials of total degrees 0 and 2 has no line form
+    monkeypatch.setitem(SLICE_POLYS, "x-1", ((-1,), (0,), (1,)))
+    with pytest.raises(VerificationFailure, match="x-1"):
+        charside._line_coeffs()
 
 
 def sign_cube() -> dict[str, np.ndarray]:
@@ -305,42 +327,47 @@ def test_t_on_the_sign_cube_is_invariant_under_swap_and_inversion(mod4):
 
 
 def test_sigma_d_jobs_matches_serial():
-    # from q = 61 on D scans at least 8 slices, so the fork pool runs
-    for q in (31, 61, 67, 125, 243, 2401):
+    # one prime of each residue mod 4 and extension fields of both; with 8 lines
+    # or more D runs the fork pool
+    for q in (61, 67, 125, 243, 2401):
         F = field(q)
+        assert len(orbit_lines(F)) >= 8
         assert sigma_count_D(F, jobs=2) == sigma_count_D(F), q
 
 
-@pytest.mark.parametrize("q, sigma", [(6561, 1251016), (19683, 4884108)])
+@pytest.mark.parametrize("q, sigma", [(6561, 1251016), (19683, 4884108), (59049, 101427286)])
 def test_sigma_d_pinned_on_extension_fields(q, sigma):
-    # pinned from D over classes {c, 1/c}, a scan that does not use the Frobenius map
+    # pinned from D over classes {c, 1/c}, a scan that does not use the Frobenius map;
+    # 3^10 from D over slices y = c, before D scanned lines
     assert sigma_count_D(field(q)) == sigma
 
 
 @pytest.mark.parametrize("q", [13, 81, 625, 729])
-def test_orbit_slices_cover_every_pair_of_orbits_once(q):
+def test_orbit_lines_cover_every_line_once(q):
     F = field(q)
-    ring, slices = orbit_slices(F)
-    squares = charside._square_codes(F)
-    assert sorted(ring.tolist()) == squares.tolist()  # each square outside {0, 1} once
+    M = (q - 1) // 2
+    lines = orbit_lines(F)
+    m, n = lines.T
+    assert m.tolist() == sorted(m.tolist()) and n.sum() == M - 1
+    # the line of λ = g^(2m) goes to that of 1/λ and of λ^p, by the field's own maps
+    log, antilog = F.logs
     inv, frob = F.vinv(F.codes), frobenius(F)
-    orbit_of = np.empty(q, dtype=np.int64)
-    for i, (c, lo, hi, n) in enumerate(slices):
-        orbit = ring[lo:lo + n]
-        assert orbit[0] == c == orbit.min()
-        assert set(inv[orbit]) == set(frob[orbit]) == set(orbit.tolist())
-        orbit_of[orbit] = i
-    assert np.array_equal(slices[:, 0], np.sort(slices[:, 0]))
-    # the window of each row holds its own orbit and some later ones, wrapping round;
-    # each unordered pair of distinct orbits meets in exactly one window
-    seen = np.zeros((len(slices),) * 2, dtype=np.int64)
-    twice = np.tile(ring, 2)
-    for i, (c, lo, hi, n) in enumerate(slices):
-        others = np.unique(orbit_of[twice[lo + n:hi]])
-        assert i not in others and slices[others, 3].sum() == hi - lo - n  # whole orbits
-        seen[i, others] += 1
-        seen[others, i] += 1
-    assert np.array_equal(seen, 1 - np.eye(len(slices), dtype=np.int64))
+    orbit_of = np.full(M, -1)
+    for i, (lead, size) in enumerate(lines):
+        orbit = {int(lead)}
+        frontier = [int(lead)]
+        while frontier:
+            lam = antilog[2 * frontier.pop()]
+            for image in (int(log[inv[lam]]) // 2, int(log[frob[lam]]) // 2):
+                if image not in orbit:
+                    orbit.add(image)
+                    frontier.append(image)
+        assert min(orbit) == lead and len(orbit) == size
+        assert all(orbit_of[k] == -1 for k in orbit)  # in no earlier orbit
+        orbit_of[list(orbit)] = i
+        # closed under m -> -m and m -> pm mod M
+        assert {-k % M for k in orbit} == orbit == {k * F.p % M for k in orbit}
+    assert (orbit_of[1:] >= 0).all() and orbit_of[0] == -1
 
 
 def test_slice_params_rule():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mnaq.field
-from mnaq.charside import orbit_slices, sigma_count_D
+from mnaq.charside import _line_table, orbit_lines, sigma_count_D
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
 from mnaq.field import (
     LOG_DIGIT_TILES, MAX_FIELD_ORDER, SUM_TERMS, least_irreducible, make_field,
@@ -264,8 +264,8 @@ def test_vinv_matches_inv(q):
 def test_field_tables_read_only(q):
     F = field(q)
     rows, _, tables = F.log_digits
-    for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, *orbit_slices(F),
-                  F.chi_one_minus, *F._log_lists, *F.lifts[:2]):
+    for table in (F.chi_table, F.sqrt_table, *F.logs, rows, *tables, orbit_lines(F),
+                  *_line_table(F), F.chi_one_minus, *F._log_lists, *F.lifts[:2]):
         with pytest.raises((ValueError, TypeError)):  # read-only arrays, or tuples
             table[1] = 0
 
