@@ -3,10 +3,10 @@
 Elements are represented by integer codes in [0, q).  For prime q the code is
 the least nonnegative residue.  For q = p^k the element sum(c_i t^i) modulo the
 field's irreducible polynomial is encoded as sum(c_i p^i) with 0 <= c_i < p,
-so codes are stable across runs as long as the modulus is.  The modulus is
-always the lexicographically least monic irreducible of degree k over F_p
-(coefficients compared constant term first), which makes element codes
-reproducible across implementations.
+so codes are stable across runs as long as the modulus is.  The modulus is the
+first monic polynomial of degree k over F_p, coefficients compared constant term
+first, that trial division by every monic polynomial of degree <= k/2 leaves
+whole, which makes element codes reproducible across implementations.
 
 An extension field has one addition rule: add, neg, sub and their vector forms
 run one base-p digitwise routine, on codes and int64 arrays alike.  Beside it,
@@ -24,7 +24,8 @@ gfpoly's kernels add Field.lifts, the same digits packed in Python integers.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterator, Sequence
+from itertools import product
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -59,65 +60,28 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-# ----------------------------------------------------------------------
-# Dense polynomial helpers over F_p (coefficient lists, constant term first).
-# Only the modulus search uses them; field arithmetic never does.
-# ----------------------------------------------------------------------
-
-def _poly_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_rem_monic(a: Sequence[int], m: Sequence[int], p: int) -> list[int]:
-    """Remainder of a modulo monic m over F_p."""
-    r = list(a)
-    dm = len(m) - 1
-    while len(r) - 1 >= dm and r:
-        lead = r[-1]
-        shift = len(r) - 1 - dm
-        if lead:
-            for i in range(dm + 1):
-                r[shift + i] = (r[shift + i] - lead * m[i]) % p
-        r.pop()
-        _poly_trim(r)
-    return r
-
-
-def _poly_is_irreducible(m: Sequence[int], p: int) -> bool:
-    """Trial division by every monic polynomial of degree <= deg(m)/2."""
-    for d in range(1, (len(m) - 1) // 2 + 1):
-        # monic divisors t^d + sum(c_i t^i); enumerate coefficient vectors
-        for idx in range(p**d):
-            c = []
-            x = idx
-            for _ in range(d):
-                c.append(x % p)
-                x //= p
-            divisor = c + [1]
-            if not _poly_rem_monic(m, divisor, p):
-                return False
-    return True
-
-
 def least_irreducible(p: int, k: int) -> tuple[int, ...]:
-    """Lexicographically least (constant-first) monic irreducible of degree k over F_p."""
+    """The least monic irreducible of degree k over F_p, coefficients compared constant
+    term first: the first candidate that no monic polynomial of degree <= k/2 divides."""
     if k == 1:
         return (0, 1)
-    # below p^(k-1) the constant term is 0, so t divides the candidate
-    for idx in range(p ** (k - 1), p**k):
-        c = []
-        x = idx
-        for _ in range(k):
-            c.append(x % p)
-            x //= p
-        # reversing puts idx's slowest-varying digit at the constant term,
-        # so increasing idx walks candidates in constant-first lex order
-        c.reverse()
-        cand = c + [1]
-        if _poly_is_irreducible(cand, p):
-            return tuple(cand)
+    # t divides no candidate, so neither does a divisor with a zero constant term;
+    # a divisor is listed by its low coefficients, highest degree first
+    divisors = [low[::-1] for d in range(1, k // 2 + 1)
+                for low in product(range(1, p), *[range(p)] * (d - 1))]
+    for cand in product(range(1, p), *[range(p)] * (k - 1)):  # constant term first
+        top = cand[::-1]
+        for low in divisors:
+            d = len(low)
+            r = [1, *top]
+            for i in range(k + 1 - d):  # synthetic division; r[i] is a quotient digit
+                lead = r[i] % p
+                for j in range(d):
+                    r[i + 1 + j] -= lead * low[j]
+            if not any(c % p for c in r[k + 1 - d:]):
+                break
+        else:
+            return (*cand, 1)
     raise RuntimeError(f"no irreducible of degree {k} over F_{p}")  # unreachable
 
 
@@ -363,7 +327,8 @@ class Field:
         field, else its k base-p digits in one int64, packed_bits(p) bits each.
         chi_of_sum reads zero plus a signed sum of at most SUM_TERMS rows; zero holds
         span in every digit, so a digit stays in [0, 2*span] and carries nothing.  The
-        sums serve method C only."""
+        sums serve method C only; base-p digit arrays summed by tensordot, as D's lines
+        read them, gave C the same results 4-13x slower."""
         p, k, antilog = self.p, self.k, self.logs[1]
         span = SUM_TERMS * (p - 1)  # a digit of a sum lies in [-span, span]
         if k == 1:  # chi(t mod q) at t + span, for t = -span, ..., span

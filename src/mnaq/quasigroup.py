@@ -11,6 +11,7 @@ distinct nonzero, non-one squares (x, y); psi_map sends (a, b) to
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -106,13 +107,14 @@ def sigma_rows(F: Field, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def enumerate_sigma(F: Field) -> list[SigmaPair]:
     """All of Sigma in ascending (code(a), code(b)) order."""
-    return [SigmaPair(int(a), int(b)) for a, b in zip(*sigma_rows(F, np.arange(2, F.q)))]
+    a, b = sigma_rows(F, np.arange(2, F.q))
+    return list(map(SigmaPair._make, zip(a.tolist(), b.tolist())))
 
 
 def enumerate_S(F: Field) -> list[SPair]:
     """All of S in ascending (code(x), code(y)) order."""
-    sq = [u for u in range(2, F.q) if F.chi_table[u] == 1]
-    return [SPair(x, y) for x in sq for y in sq if x != y]
+    squares = (np.flatnonzero(F.chi_table[2:] == 1) + 2).tolist()
+    return list(map(SPair._make, permutations(squares, 2)))
 
 
 def least_nonsquare(F: Field) -> int:

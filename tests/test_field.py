@@ -1,3 +1,4 @@
+import itertools
 import multiprocessing
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -10,9 +11,10 @@ import mnaq.field
 from mnaq.charside import _line_table, orbit_lines, sigma_count_D
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
 from mnaq.field import (
-    LOG_DIGIT_TILES, MAX_FIELD_ORDER, SUM_TERMS, least_irreducible, make_field,
-    odd_prime_powers, packed_bits,
+    LOG_DIGIT_TILES, MAX_FIELD_ORDER, SUM_TERMS, factor_prime_power, least_irreducible,
+    make_field, odd_prime_powers, packed_bits,
 )
+from mnaq.gfpoly import Factorization, factorize
 
 from conftest import field
 
@@ -47,6 +49,28 @@ def test_least_irreducible_has_no_small_factors(k):
         for x in range(p):
             val = sum(c * x**i for i, c in enumerate(mod)) % p
             assert val != 0
+
+
+def test_every_modulus_pinned():
+    # CRC-32 of [(p, k, modulus)] over every extension field the package builds; the
+    # value is the one the earlier search by general polynomial remainders gave
+    primes = [p for p in odd_prime_powers(3, 1023) if factor_prime_power(p)[1] == 1]
+    fields = [(p, k) for p in primes for k in range(2, 20) if p**k <= MAX_FIELD_ORDER]
+    moduli = [(p, k, least_irreducible(p, k)) for p, k in fields]
+    assert len(moduli) == 223
+    assert zlib.crc32(repr(moduli).encode()) == 4104845645
+
+
+@pytest.mark.parametrize("q", [q for q in odd_prime_powers(9, 729) if factor_prime_power(q)[1] > 1])
+def test_modulus_is_the_first_irreducible_by_factorization(q):
+    # oracle: gfpoly's factorization over F_p, which shares no code with the search
+    p, k = factor_prime_power(q)
+    Fp, mod = field(p), least_irreducible(p, k)
+    assert factorize(Fp, mod) == Factorization(1, ((mod, 1),))
+    for low in itertools.product(range(p), repeat=k):  # constant term first
+        if low == mod[:k]:
+            break
+        assert factorize(Fp, (*low, 1)).factors != (((*low, 1), 1),)
 
 
 # modulus, then CRC-32 of chi, sqrt, log and antilog, each table as int64; the

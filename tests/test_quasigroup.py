@@ -65,15 +65,19 @@ def test_sigma_counts(q, count):
     pairs = enumerate_sigma(F)
     assert len(pairs) == count == sigma_cardinality(q)
     assert all(is_sigma_pair(F, a, b) for a, b in pairs)
-    assert pairs == sorted(pairs)
+    assert pairs == sorted(set(pairs))
+    assert {type(c) for pair in pairs for c in pair} == {int}  # no numpy scalars
 
 
-@pytest.mark.parametrize("q", [9, 11, 13, 17])
+@pytest.mark.parametrize("q", [9, 11, 13, 17, 27, 125])
 def test_s_count_closed_form(q):
     m = (q - 3) // 2
-    spairs = enumerate_S(field(q))
+    F = field(q)
+    spairs = enumerate_S(F)
     assert len(spairs) == m * m - m == sigma_cardinality(q)
-    assert spairs == sorted(spairs)
+    assert all(is_s_pair(F, x, y) for x, y in spairs)
+    assert spairs == sorted(set(spairs))
+    assert {type(c) for pair in spairs for c in pair} == {int}
 
 
 def test_psi_basics():
