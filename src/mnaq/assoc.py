@@ -132,11 +132,11 @@ def is_mna_B(F: Field, pair: SigmaPair) -> bool:
 
 
 def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
-    """Method B on scaling representatives only: u in {1, zeta} with v free,
-    plus u = 0 with v in {1, zeta}."""
-    P, reps = psi_vec(F, pair, F.codes), [[1], [least_nonsquare(F)]]
-    return not (assoc_eq_terms(F, P, reps, F.codes)[0].any()
-                or assoc_eq_terms(F, P, 0, reps)[0].any())
+    """Method B on scaling representatives only, one row at a time (no (2, q) grid):
+    u in {1, zeta} with v free, then u = 0 with v in {1, zeta}."""
+    P, zeta = psi_vec(F, pair, F.codes), least_nonsquare(F)
+    return not any(assoc_eq_terms(F, P, u, V)[0].any()
+                   for u, V in ((1, F.codes), (zeta, F.codes), (0, [1, zeta])))
 
 
 # ----------------------------------------------------------------------
@@ -225,9 +225,8 @@ _METHODS = {
 }
 
 
-def _count_chunk(args: tuple[Field, str, bool, np.ndarray]) -> int:
+def _count_chunk(F: Field, method: str, rows: bool, items: np.ndarray) -> int:
     """MNA pairs of a chunk of Sigma's a-rows (rows) or of pairs, block by block."""
-    F, method, rows, items = args
     step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
     blocks = (sigma_rows(F, items[s:s + step]) if rows else items[s:s + step].T
               for s in range(0, len(items), step))

@@ -39,7 +39,7 @@ from .assoc import ALL_CLASSES
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge, VerificationFailure
 from .field import Field, read_only
 from .pool import chunked_map
-from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair
+from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair, square_codes
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
 BLOCK_SIGNS = 1 << 14  # signs (rows x width) of one name per block of sigma_count_D's lines
@@ -116,10 +116,6 @@ class SliceEval:
     chars: dict[str, np.ndarray]  # the signs of CHAR_NAMES at (xs, c)
 
 
-def _square_codes(F: Field) -> np.ndarray:
-    return np.flatnonzero(F.chi_table == 1)[1:]  # 1 is the least square
-
-
 def _sign_tile(F: Field) -> np.ndarray:
     """C[e] = chi(1 + g^e) for e in [0, 2(q - 1)), then -C, then runs of q + 1 zeros, ones
     and minus ones (7q - 1 entries, an even count): each sign a line reads is one entry."""
@@ -152,7 +148,7 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
     """Evaluate every class rule on the slice y = c at the x in xs (default: the
     squares outside {0, 1}), each x on its line x = (x/c) y; c a square, the x nonzero."""
     if xs is None:
-        xs = _square_codes(F)
+        xs = square_codes(F)
     X = xs[xs != c]
     if F.chi_table[c] != 1 or not X.all():
         raise ValueError("slice_eval takes a nonzero square c and nonzero x")
@@ -228,8 +224,7 @@ def orbit_lines(F: Field) -> np.ndarray:
     return read_only(np.column_stack([np.flatnonzero(n), n[n > 0]]))[0]
 
 
-def _d_chunk(args: tuple[Field, np.ndarray, np.ndarray]) -> int:
-    F, tile, lines = args
+def _d_chunk(F: Field, tile: np.ndarray, lines: np.ndarray) -> int:
     M, width = (F.q - 1) // 2, (F.q + 3) // 4  # width: the y a line scans, (q - 1)//4 + 1
     m, n = lines.T
     # y = g^(2k) for k in [start, start + width); k -> r - k (the swap after the inversion)
@@ -319,13 +314,11 @@ def t_pieces(mod4: int, t, chars: dict[str, np.ndarray]) -> dict[str, np.ndarray
 
 def t_partition(F: Field) -> TPartitionReport:
     """Materialize the residue-appropriate partition of T with its identities."""
-    xs = _square_codes(F)
+    xs = square_codes(F)
     mod4 = F.q % 4
-    if mod4 == 3:
-        acc = dict.fromkeys(["t0", "t0p", "t11", "t1m1", "t2", "t11p", "t1m1p", "t2p",
-                             "forbidden", "forbiddenp"], 0)
-    else:
-        acc = dict.fromkeys(["t1", "t2", "t2p", "forbidden"], 0)
+    empty = np.zeros(0, dtype=np.int8)  # t_pieces of an empty slice names the parts
+    acc = {key: 0 for key in t_pieces(mod4, empty.astype(bool), dict.fromkeys(CHAR_NAMES, empty))
+           if key != "rho"}
     total = 0
     r = np.zeros((3, 16), dtype=np.int64)  # R(rho) on T, on T1 and on T2
     for c in map(int, xs):
@@ -433,7 +426,7 @@ def t_grid(F: Field) -> np.ndarray:
     """Boolean (q, q) grid of T over (x, y) codes; for symmetry checks."""
     if F.q > CAYLEY_LIMIT:
         raise TooLarge(f"T grids are materialized only for q <= {CAYLEY_LIMIT}")
-    xs = _square_codes(F)
+    xs = square_codes(F)
     grid = np.zeros((F.q, F.q), dtype=bool)
     for c in map(int, xs):
         ev = slice_eval(F, c, xs)

@@ -47,6 +47,21 @@ def prime_factors(n: int) -> Iterator[int]:
         yield n
 
 
+def power(x, n: int, mul: Callable, one):
+    """x^n under the associative product mul, with x^0 = one, by square-and-multiply;
+    x is squared only while bits of n remain.  A negative n raises ValueError."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
+    out = one
+    while n:
+        if n & 1:
+            out = mul(out, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return out
+
+
 def factor_prime_power(q: int) -> tuple[int, int]:
     """Return (p, k) with q = p^k, or raise NotOddPrimePower."""
     if q < 3 or q % 2 == 0:
@@ -152,23 +167,14 @@ class Field:
             rows.append(rows[-1] @ times_t % p)
         return np.array(rows)
 
-    def _mat_pow(self, m: np.ndarray, n: int) -> np.ndarray:
-        out = np.eye(self.k, dtype=np.int64)
-        while n:
-            if n & 1:
-                out = out @ m % self.p
-            m = m @ m % self.p
-            n >>= 1
-        return out
-
     def _least_generator(self) -> np.ndarray:
         """The "multiply by g" matrix of the least multiplicative generator g."""
         n = self.q - 1
         fac = set(prime_factors(n))
-        one = np.eye(self.k, dtype=np.int64)
+        one, mat_mul = np.eye(self.k, dtype=np.int64), lambda a, b: a @ b % self.p
         for g in range(2, self.q):
             mat = self._mul_matrix(g)
-            if not any(np.array_equal(self._mat_pow(mat, n // r), one) for r in fac):
+            if not any(np.array_equal(power(mat, n // r, mat_mul, one), one) for r in fac):
                 return mat
         raise RuntimeError("no generator found")  # unreachable for a field
 

@@ -18,7 +18,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .errors import VerificationFailure, ZeroPolynomial
-from .field import LIFT_ROWS, Field
+from .field import LIFT_ROWS, Field, power
 from .rng import SplitMix64
 
 Poly = tuple[int, ...]
@@ -123,22 +123,12 @@ def poly_gcd(F: Field, a: Poly, b: Poly) -> Poly:
 
 
 def poly_pow_mod(F: Field, base: Poly, e: int, mod: Poly) -> Poly:
-    """base^e mod mod by squaring and multiplying; each step reduces the product's
-    sums of lifts in the same pass, with no read-back in between."""
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    out, base = poly_mod(F, ONE, mod), poly_mod(F, base, mod)
-
+    """base^e mod mod by field.power, e >= 0; each step reduces the product's sums
+    of lifts in the same pass, with no read-back in between."""
     def mul_mod(a: Poly, b: Poly) -> Poly:
         return _reduce(F, _product(F, a, b), mod)[1] if a and b else ()
 
-    while e:
-        if e & 1:
-            out = mul_mod(out, base)
-        e >>= 1
-        if e:
-            base = mul_mod(base, base)
-    return out
+    return power(poly_mod(F, base, mod), e, mul_mod, poly_mod(F, ONE, mod))
 
 
 def poly_derivative(F: Field, a: Poly) -> Poly:

@@ -15,19 +15,19 @@ def _start_worker(*worker) -> None:
 
 def _run_chunk(chunk: Sequence) -> object:
     task, head = _WORKER
-    return task((*head, chunk))
+    return task(*head, chunk)
 
 
-def chunked_map(task: Callable[[tuple], object], head: tuple, items: Sequence,
+def chunked_map(task: Callable[..., object], head: tuple, items: Sequence,
                 jobs: int) -> list:
-    """task((*head, chunk)) for each contiguous chunk of items, in chunk order.
+    """task(*head, chunk) for each contiguous chunk of items, in chunk order.
 
     items is split into 4*jobs chunks for a fork pool of jobs workers; with
     jobs <= 1 or fewer than 4*jobs items one chunk holding all of items runs
     inline.  A worker inherits task and head when it is forked; only chunks pickle.
     """
     if jobs <= 1 or len(items) < 4 * jobs:
-        return [task((*head, items))]
+        return [task(*head, items)]
     size = -(-len(items) // (4 * jobs))
     chunks = [items[i : i + size] for i in range(0, len(items), size)]
     with multiprocessing.get_context("fork").Pool(jobs, _start_worker, (task, head)) as pool:

@@ -111,10 +111,14 @@ def enumerate_sigma(F: Field) -> list[SigmaPair]:
     return list(map(SigmaPair._make, zip(a.tolist(), b.tolist())))
 
 
+def square_codes(F: Field) -> np.ndarray:
+    """The codes of the squares outside {0, 1}, ascending."""
+    return np.flatnonzero(F.chi_table == 1)[1:]  # 1 is the least square
+
+
 def enumerate_S(F: Field) -> list[SPair]:
     """All of S in ascending (code(x), code(y)) order."""
-    squares = (np.flatnonzero(F.chi_table[2:] == 1) + 2).tolist()
-    return list(map(SPair._make, permutations(squares, 2)))
+    return list(map(SPair._make, permutations(square_codes(F).tolist(), 2)))
 
 
 def least_nonsquare(F: Field) -> int:

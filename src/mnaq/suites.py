@@ -44,6 +44,7 @@ from .quasigroup import (
     psi,
     psi_map,
     sigma_cardinality,
+    square_codes,
 )
 from .rng import SplitMix64
 from .weil import SLICE_POLYS, run_weil_trials, table_eval, verify_slice_lists
@@ -192,7 +193,7 @@ def membership_vs_e_side(F: Field) -> tuple[int, list[tuple]]:
     """(number of checks, mismatches) of slice_eval's class masks against the
     equation side, over every regular pair of S and all sixteen classes."""
     checked, bad = 0, []
-    for y in (c for c in range(2, F.q) if F.chi(c) == 1):
+    for y in map(int, square_codes(F)):
         ev = slice_eval(F, y)
         for x, member in zip(map(int, ev.xs), ev.classes.T):
             if is_regular_pair(F, x, y):
@@ -297,7 +298,6 @@ def suite_slices(qmax: int, jobs: int = 1) -> SuiteReport:
         if q > qmax:
             continue
         F = _field(q)
-        mod3 = q % 4 == 3
         bound_ok = True
         admissible = 0
         sums = {}
@@ -305,19 +305,12 @@ def suite_slices(qmax: int, jobs: int = 1) -> SuiteReport:
             sc = slice_counters(F, c)
             for key, val in sc.counts.items():
                 sums[key] = sums.get(key, 0) + val
-            if sc.admissible:
-                admissible += 1
-                if not sc.bounds_ok:
-                    bound_ok = False
+            admissible += sc.admissible
+            bound_ok &= sc.bounds_ok  # True where c is inadmissible: no bounds
         rep.add("slice_bounds", q, bound_ok, f"{admissible} admissible c")
-        part = t_partition(F)
-        if mod3:
-            recon = sums.get("t2", 0) == part.parts["t2"] and \
-                sums.get("t11", 0) == part.parts["t11"]
-        else:
-            recon = sums.get("t1", 0) == part.parts["t1"] and \
-                sums.get("t2", 0) == part.parts["t2"]
-        rep.add("slice_sums_match_partition", q, recon, str(sums))
+        parts = t_partition(F).parts
+        rep.add("slice_sums_match_partition", q,
+                all(val == parts[key] for key, val in sums.items()), str(sums))
     return rep
 
 

@@ -289,8 +289,7 @@ class SliceListReport:
         return not self.violations
 
 
-def _slice_list_chunk(args: tuple[Field, range]) -> SliceListReport:
-    F, cs = args
+def _slice_list_chunk(F: Field, cs: range) -> SliceListReport:
     rep = SliceListReport()
     for lo in range(0, len(cs), SLICE_BLOCK):
         block = np.asarray(cs[lo:lo + SLICE_BLOCK], dtype=np.int64)

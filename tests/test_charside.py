@@ -20,10 +20,10 @@ from mnaq.charside import (
     t_grid,
     t_partition,
 )
-from mnaq.errors import BadSliceParam, IrregularPair, NotInS, VerificationFailure
+from mnaq.errors import BadSliceParam, IrregularPair, NotInS, TooLarge, VerificationFailure
 from mnaq.field import LOG_DIGIT_TILES, SUM_TERMS, odd_prime_powers
 from mnaq.gfpoly import poly_eval_vec
-from mnaq.quasigroup import SPair, enumerate_S, phi_map
+from mnaq.quasigroup import CAYLEY_LIMIT, SPair, enumerate_S, phi_map, square_codes
 from mnaq.reports import limit_constant
 from mnaq.suites import membership_vs_e_side
 from mnaq.weil import SLICE_POLYS, slice_param_admissible, slice_poly_list, table_eval
@@ -217,7 +217,7 @@ def test_limit_constant_is_the_share_of_the_sign_cube_in_t(q):
 def test_slice_chars_match_horner(q):
     # the Horner route through the specialised list, kept here as the oracle
     F = field(q)
-    for c in map(int, charside._square_codes(F)):
+    for c in map(int, square_codes(F)):
         ev = slice_eval(F, c)
         assert list(ev.chars) == list(SLICE_POLYS)[1:] + ["1-y"]
         for name, p in zip(SLICE_POLYS, slice_poly_list(F, c)):
@@ -251,7 +251,7 @@ def check_line_identity(F, X, Y):
 def test_line_polys_at_every_pair_of_squares(q):
     # each sign D reads is chi(y^d (A(λ) y + B(λ))) on the line x = λy
     F = field(q)
-    squares = charside._square_codes(F)
+    squares = square_codes(F)
     X, Y = (a.ravel() for a in np.meshgrid(np.append(squares, 1), np.append(squares, 1)))
     check_line_identity(F, X, Y)
 
@@ -425,6 +425,25 @@ def test_t_partition_pinned(q):
     else:
         assert len(rep.r_counts) == 16
         assert {rho: c for rho, c in rep.r_counts.items() if any(c)} == r_nonzero
+
+
+def test_t_partition_without_a_slice():
+    # q = 3 has no slice and q = 5 one empty slice: the part names and their order
+    # come from t_pieces, as for every other field
+    rep = t_partition(field(3))
+    assert list(rep.parts.items()) == [(key, 0) for key in (
+        "t0", "t0p", "t11", "t1m1", "t2", "t11p", "t1m1p", "t2p", "forbidden", "forbiddenp")]
+    assert (rep.total, rep.r_counts, rep.violations) == (0, None, [])
+    rep = t_partition(field(5))
+    assert list(rep.parts.items()) == [(key, 0) for key in ("t1", "t2", "t2p", "forbidden")]
+    assert (rep.total, rep.violations) == (0, [])
+    assert rep.r_counts == {tuple(2 * b - 1 for b in cls): (0, 0, 0) for cls in ALL_CLASSES}
+
+
+def test_t_grid_is_guarded():
+    F = field(next(q for q in odd_prime_powers(CAYLEY_LIMIT, 2 * CAYLEY_LIMIT)))
+    with pytest.raises(TooLarge):
+        t_grid(F)
 
 
 def test_t_partition_reports_each_broken_identity(monkeypatch):

@@ -12,7 +12,7 @@ from mnaq.charside import _line_table, orbit_lines, sigma_count_D
 from mnaq.errors import DivisionByZero, NotOddPrimePower, TooLarge
 from mnaq.field import (
     LOG_DIGIT_TILES, MAX_FIELD_ORDER, SUM_TERMS, factor_prime_power, least_irreducible,
-    make_field, odd_prime_powers, packed_bits,
+    make_field, odd_prime_powers, packed_bits, power,
 )
 from mnaq.gfpoly import Factorization, factorize
 
@@ -302,8 +302,9 @@ def test_lifts_are_lazy_and_rebuilt_in_a_worker():
     fields = [make_field(13), make_field(81)]
     assert not any("lifts" in vars(F) or "_log_lists" in vars(F) for F in fields)
     tables = [F.lifts[:2] for F in fields]
-    # the pool pickles each F by Field.__reduce__: the worker's copy has no tables
-    # until it uses them
+    # a spawned worker receives each F pickled by Field.__reduce__: its copy has no
+    # tables until it uses them (chunked_map forks instead, so its workers inherit
+    # the head, F included, and only the chunks are pickled)
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert list(pool.map(_lifts_in_worker, fields)) == [(False, t) for t in tables]
 
@@ -395,6 +396,31 @@ def test_sqrt_table():
             if F.chi(u) >= 0:
                 r = F.sqrt(u)
                 assert F.mul(r, r) == u
+
+
+def test_sqrt_of_a_nonsquare_raises():
+    for q in (13, 27):
+        F = field(q)
+        with pytest.raises(ValueError, match="not a square"):
+            F.sqrt(int(F.chi_table.argmin()))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 1008, 1 << 20])
+def test_power_squares_only_while_bits_remain(n):
+    calls = []
+
+    def mul(a, b):
+        calls.append((a, b))
+        return a * b % 1009
+
+    assert power(3, n, mul, 1) == pow(3, n, 1009)
+    # one squaring per bit below the top one, one product per set bit
+    assert len(calls) == max(n.bit_length() - 1, 0) + n.bit_count()
+
+
+def test_power_rejects_a_negative_exponent():
+    with pytest.raises(ValueError, match="negative exponent"):
+        power(3, -1, lambda a, b: a * b, 1)
 
 
 def test_odd_prime_powers_list():

@@ -1,6 +1,6 @@
 import pytest
 
-from mnaq.errors import ZeroPolynomial
+from mnaq.errors import VerificationFailure, ZeroPolynomial
 from mnaq.gfpoly import (
     ONE,
     X,
@@ -9,6 +9,7 @@ from mnaq.gfpoly import (
     monic,
     normalize,
     poly_derivative,
+    poly_div,
     poly_divmod,
     poly_eval,
     poly_gcd,
@@ -26,6 +27,18 @@ def test_normalize_and_degree():
     assert normalize([0, 0]) == ()
     assert degree(()) == -1
     assert degree((5,)) == 0
+
+
+def test_exact_division_raises_on_a_remainder():
+    F = field(13)
+    assert poly_div(F, poly_mul(F, (3, 1), (2, 7, 1)), (2, 7, 1)) == (3, 1)
+    with pytest.raises(VerificationFailure, match="remainder"):
+        poly_div(F, (3, 1, 4, 1, 5), (2, 7, 1))
+
+
+def test_eval_of_the_zero_polynomial():
+    assert poly_eval(field(13), (), 5) == 0
+    assert poly_eval(field(27), (), 5) == 0
 
 
 def test_divmod_roundtrip():

@@ -30,6 +30,14 @@ def test_splitmix64_reference_stream():
     assert rng.next_u64() == 3203168211198807973
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_below_rejects_an_empty_range(n):
+    rng = SplitMix64(1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        rng.below(n)
+    assert rng.state == 1  # no draw was made
+
+
 def test_sampler_uniform_over_sigma():
     F = field(13)
     rng = SplitMix64(2024)

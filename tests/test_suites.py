@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from mnaq import suites
 from mnaq.charside import COMPLEMENT, HALVES, SWAP
 from mnaq.suites import SUITES, run_suite
 
@@ -44,3 +47,28 @@ def test_class_code_tables_match_their_definitions():
     for table in (SWAP, COMPLEMENT, HALVES):
         assert table.dtype == np.int8 and len(table) == 17
         assert table[-1] == -1 and table[np.int8(-1)] == -1
+
+
+def test_charset_checks_the_exceptional_pairs_past_47():
+    # the exceptional_in_union row needs q >= 47 with exceptional pairs; the charset
+    # golden run stops at 31
+    rep = run_suite("charset", 81)
+    assert {c.q: c.ok for c in rep.checks if c.name == "exceptional_in_union"} == {
+        59: True, 71: True, 79: True, 81: True}
+    assert {c.q: c.detail for c in rep.checks if c.name == "few_exceptional_pairs"
+            and c.q in (59, 81)} == {59: "2 pairs", 81: "4 pairs"}
+
+
+@pytest.mark.parametrize("q,key", [(29, "t1"), (29, "t2"), (31, "t2"), (31, "t11")])
+def test_slice_sums_are_checked_at_every_counter_key(monkeypatch, q, key):
+    counters = suites.slice_counters
+
+    def off_by_one(F, c):
+        sc = counters(F, c)
+        if F.q != q:
+            return sc
+        return dataclasses.replace(sc, counts={**sc.counts, key: sc.counts[key] + 1})
+
+    monkeypatch.setattr(suites, "slice_counters", off_by_one)
+    rep = run_suite("slices", q)
+    assert {c.q: c.ok for c in rep.checks if c.name == "slice_sums_match_partition"}[q] is False

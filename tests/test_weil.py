@@ -75,6 +75,20 @@ def test_squarefree_invariance():
     assert is_squarefree_list(F, scaled).squarefree == base
 
 
+def test_poly_spec_rejects_a_bad_sign_or_degree_zero():
+    for sign in (0, 2, -2):
+        with pytest.raises(ValueError, match="sign"):
+            PolySpec(X, sign)
+    for poly in ((5,), ()):
+        with pytest.raises(ValueError, match="degree"):
+            PolySpec(poly, 1)
+
+
+def test_count_sign_pattern_needs_a_spec():
+    with pytest.raises(ValueError, match="at least one"):
+        count_sign_pattern(field(7), [])
+
+
 def test_count_single_linear():
     F = field(13)
     up = count_sign_pattern(F, [PolySpec(X, 1)])
