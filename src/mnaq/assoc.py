@@ -62,6 +62,7 @@ A_SCAN_LIMIT = 64  # is_mna_A guard
 A_COUNT_LIMIT = 27  # sigma_count(method="A") guard
 B_COUNT_LIMIT = 512
 BSCALED_COUNT_LIMIT = 4096
+BSCALED_BLOCK = 4096  # most w per block of is_mna_Bscaled: small grids, few page faults
 
 
 def assoc_eq_holds(F: Field, pair: SigmaPair, u: int, v: int) -> bool:
@@ -73,32 +74,32 @@ def assoc_eq_holds(F: Field, pair: SigmaPair, u: int, v: int) -> bool:
 
 
 def assoc_eq_terms(F: Field, P: np.ndarray, U: np.ndarray,
-                   V: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(holds, -v, psi(u) - v, u - v - psi(-v)) over code arrays U and V that
+                   W: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(holds, -v, psi(u) - v, u - v - psi(-v)) over code arrays U and W = -v that
     broadcast together: holds marks psi(psi(u) - v) == psi(-v) + psi(u - v - psi(-v)),
-    psi read from the table P[w] = psi(w) over all of F_q (psi_vec on F.codes)."""
-    V = np.asarray(V, dtype=np.int64)
-    neg_v = F.vneg(V)
-    psi_neg_v = P[neg_v]
-    # u - v - psi(-v) as u - (v + psi(-v)), whose second term lives on V's shape; the
-    # right side comes first, so that its temporaries are freed before e_r is built:
-    # fewer grid-sized arrays alive at once, fewer page faults at large q
-    e_s = F.vsub(U, F.vadd(V, psi_neg_v))
-    rhs = F.vadd(psi_neg_v, P[e_s])
-    e_r = F.vsub(P[np.asarray(U, dtype=np.int64)], V)
-    return P[e_r] == rhs, neg_v, e_r, e_s
+    psi read from the table P[w] = psi(w) over all of F_q (psi_vec on F.codes).  In
+    w, psi(u) - v = P[u] + w and u - v - psi(-v) = u + (w - P[w]), so the terms of v
+    alone, P[w] and w - P[w], are built once on W's shape for every u."""
+    U, W = np.asarray(U, dtype=np.int64), np.asarray(W, dtype=np.int64)
+    psi_w = P.take(W)
+    # the right side comes first, so that its temporaries are freed before e_r is
+    # built: fewer grid-sized arrays alive at once, fewer page faults at large q
+    e_s = F.vadd(U, F.vsub(W, psi_w))
+    rhs = F.vadd(psi_w, P.take(e_s))
+    e_r = F.vadd(P.take(U), W)
+    return P.take(e_r) == rhs, W, e_r, e_s
 
 
 def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     """Boolean q x q grid G[u, v] of associativity-equation solutions."""
-    return assoc_eq_terms(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.codes[None, :])[0]
+    return assoc_eq_terms(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.vneg(F.codes))[0]
 
 
 def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     """E(a, b) as a (q, q) int8 grid over (u, v): the class code 8i+4j+2r+s at each
     nontrivial solution, -1 elsewhere."""
     U = F.codes[:, None]
-    holds, neg_v, e_r, e_s = assoc_eq_terms(F, psi_vec(F, pair, F.codes), U, F.codes[None, :])
+    holds, neg_v, e_r, e_s = assoc_eq_terms(F, psi_vec(F, pair, F.codes), U, F.vneg(F.codes))
     holds[0, 0] = False
     if (holds & ((U == 0) | (neg_v == 0) | (e_r == 0) | (e_s == 0))).any():
         raise VerificationFailure(
@@ -132,11 +133,13 @@ def is_mna_B(F: Field, pair: SigmaPair) -> bool:
 
 
 def is_mna_Bscaled(F: Field, pair: SigmaPair) -> bool:
-    """Method B on scaling representatives only, one row at a time (no (2, q) grid):
-    u in {1, zeta} with v free, then u = 0 with v in {1, zeta}."""
-    P, zeta = psi_vec(F, pair, F.codes), least_nonsquare(F)
-    return not any(assoc_eq_terms(F, P, u, V)[0].any()
-                   for u, V in ((1, F.codes), (zeta, F.codes), (0, [1, zeta])))
+    """Method B on scaling representatives only: u in {1, zeta} with v free, as
+    (2, BSCALED_BLOCK) grids over blocks of w = -v, then u = 0 with v in {1, zeta}."""
+    codes = F.codes
+    P, U = psi_vec(F, pair, codes), np.array([[1], [least_nonsquare(F)]])
+    return not (any(assoc_eq_terms(F, P, U, codes[lo:lo + BSCALED_BLOCK])[0].any()
+                    for lo in range(0, F.q, BSCALED_BLOCK))
+                or assoc_eq_terms(F, P, 0, F.vneg(U[:, 0]))[0].any())
 
 
 # ----------------------------------------------------------------------

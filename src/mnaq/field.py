@@ -14,11 +14,11 @@ the only multiply is through log/antilog tables keyed to the least multiplicativ
 generator g by code, built with the field from one k x k matrix over F_p,
 "multiply by g".  The quadratic character chi maps nonzero squares to +1,
 nonsquares to -1 and 0 to 0; on an extension field it is the parity of the log.
-A prime field keeps % arithmetic, marks chi at u*u for every nonzero u, and
-builds its log tables on first use.  Method C's character sums add powers of g
-as Field.log_digits rows: on an extension field, k base-p digits packed in one
-int64 that add without a carry, read by one table lookup per group of digits.
-gfpoly's kernels add Field.lifts, the same digits packed in Python integers.
+A prime field adds codes in [0, q) with one conditional subtraction of q, multiplies
+by %, marks chi at u*u for every nonzero u, and builds its log tables on first use.
+Method C's character sums add powers of g as Field.log_digits rows: on an extension
+field, k base-p digits packed in one int64 that add without a carry, read by one table
+lookup per group of digits.  gfpoly's kernels add Field.lifts, the same digits in Python ints.
 """
 
 from __future__ import annotations
@@ -197,7 +197,9 @@ class Field:
         return log, antilog
 
     # -- addition, on codes or int64 arrays ----------------------------------
-    # No % here sees a negative operand: numpy's % is slower on mixed signs.
+    # Operands are codes in [0, q), as ints or arrays.  A prime field then reduces
+    # by one conditional subtraction, in place on an array, where % costs twice as
+    # much; the digitwise % never sees a negative operand, which numpy runs slower.
 
     def _digitwise(self, u, v, s: int):
         """u + s*v (s = +1 or -1) digit by digit in base p; u + q has u's digits."""
@@ -207,13 +209,21 @@ class Field:
         return out
 
     def add(self, u, v):
-        return (u + v) % self.q if self.k == 1 else self._digitwise(u, v, 1)
+        if self.k > 1:
+            return self._digitwise(u, v, 1)
+        s = u + v
+        s -= self.q * (s >= self.q)
+        return s
 
     def neg(self, u):
-        return (self.q - u) % self.q if self.k == 1 else self._digitwise(0, u, -1)
+        return self.sub(0, u)
 
     def sub(self, u, v):
-        return (u + self.q - v) % self.q if self.k == 1 else self._digitwise(u, v, -1)
+        if self.k > 1:
+            return self._digitwise(u, v, -1)
+        s = u - v
+        s += self.q * (s < 0)
+        return s
 
     # -- scalar element arithmetic (codes in [0, q)) ---------------------------
 

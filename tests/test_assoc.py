@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -10,6 +11,7 @@ from mnaq.assoc import (
     PAIR_BLOCK,
     ClassIndex,
     assoc_eq_holds,
+    assoc_eq_terms,
     class_code_grid,
     class_nonempty_vec,
     count_associative_triples,
@@ -22,7 +24,9 @@ from mnaq.assoc import (
 )
 from mnaq.charside import sigma_count_D
 from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
-from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, psi, qmul
+from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, psi, psi_vec, qmul
+from mnaq.rng import SplitMix64
+from mnaq.search import sigma_blocks
 
 from conftest import field
 
@@ -391,3 +395,31 @@ def test_assoc_eq_grid_matches_scalar():
     for u in range(11):
         for v in range(11):
             assert grid[u, v] == assoc_eq_holds(F, pair, u, v)
+
+
+@pytest.mark.parametrize("q", [9, 11])
+def test_assoc_eq_terms_match_the_scalar_definitions(q):
+    # the [u, v] layout class_code_grid reads: rows u, columns w = -v
+    F = field(q)
+    for pair in enumerate_sigma(F):
+        terms = assoc_eq_terms(F, psi_vec(F, pair, F.codes), F.codes[:, None],
+                               F.vneg(F.codes))
+        holds, neg_v, e_r, e_s = np.broadcast_arrays(*terms)
+        for u, v in itertools.product(range(q), repeat=2):
+            want = (assoc_eq_holds(F, pair, u, v), F.neg(v), F.sub(psi(F, pair, u), v),
+                    F.sub(F.sub(u, v), psi(F, pair, F.neg(v))))
+            got = (holds[u, v], neg_v[u, v], e_r[u, v], e_s[u, v])
+            assert got == want, (pair, u, v)
+
+
+@pytest.mark.parametrize("q, seed", [(10007, 1), (10009, 2), (2187, 3)])
+def test_bscaled_agrees_with_method_c_on_sampled_pairs(q, seed):
+    # C reads chi_of_sum and never Field.add or sub, so the two stay independent
+    F = field(q)
+    a, b = np.concatenate(list(itertools.islice(sigma_blocks(F, SplitMix64(seed), 10**6), 4)),
+                          axis=1)[:, :300]
+    assert a.size == 300
+    by_c = ~class_nonempty_vec(F, a, b).any(axis=0)
+    by_bscaled = [is_mna_Bscaled(F, SigmaPair(*p)) for p in zip(a.tolist(), b.tolist())]
+    assert by_bscaled == by_c.tolist()
+    assert 0 < by_c.sum() < 300  # both verdicts occur

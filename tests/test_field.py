@@ -243,6 +243,37 @@ def test_arithmetic_input_kinds(q):
     assert prods.tolist() == [[F.mul(a, b) for b in range(q)] for a in range(q)]
 
 
+@pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 31])
+def test_prime_addition_matches_the_percent_formulas(q):
+    # the conditional subtraction equals %, and keeps the kind of its operands:
+    # Python ints stay ints, int64 scalars int64 scalars, arrays keep their dtype
+    F = field(q)
+    ops = ((F.add, lambda u, v: (u + v) % q), (F.sub, lambda u, v: (u + q - v) % q),
+           (lambda u, _v: F.neg(u), lambda u, _v: (q - u) % q))
+    U, V = F.codes[:, None], F.codes[None, :]
+    for op, formula in ops:
+        for u, v in itertools.product(range(q), repeat=2):
+            for a, b, kind in ((u, v, int), (np.int64(u), np.int64(v), np.int64)):
+                got = op(a, b)
+                assert got == formula(u, v) and type(got) is kind, (op, u, v)
+        for dtype in (np.int64, np.int32):
+            got = op(U.astype(dtype), V.astype(dtype))
+            assert got.dtype == dtype and np.array_equal(got, formula(U, V)), op
+    assert F.neg(0) == 0 and type(F.neg(0)) is int
+
+
+@pytest.mark.parametrize("q", [10009, 1048573])
+def test_prime_addition_matches_the_percent_formulas_on_arrays(q):
+    F = make_field(q)
+    rng = np.random.default_rng(q)
+    U, V = rng.integers(0, q, size=(2, 4096), dtype=np.int64)
+    U[:3], V[:3] = [0, q - 1, q - 1], [0, q - 1, 1]  # both ends of the range
+    for got, want in ((F.add(U, V), (U + V) % q), (F.sub(U, V), (U + q - V) % q),
+                      (F.neg(U), (q - U) % q), (F.vadd(U, V), (U + V) % q),
+                      (F.vsub(U, V), (U + q - V) % q), (F.vneg(U), (q - U) % q)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("q", PROPERTY_FIELDS)
 def test_ext_vector_ops_match_scalar_property(q):
     F = field(q)
