@@ -168,8 +168,11 @@ def _pth_root(F: Field, a: Poly) -> Poly:
 
 
 def squarefree_decomposition(F: Field, f: Poly) -> list[tuple[Poly, int]]:
-    """Monic square-free parts with multiplicities; product rebuilds f (monic)."""
+    """Monic square-free parts with multiplicities, pairwise coprime; product
+    rebuilds f (monic), so a nonzero constant has none."""
     out: list[tuple[Poly, int]] = []
+    if degree(f) == 0:
+        return out
     fp = poly_derivative(F, f)
     if not fp:
         for h, m in squarefree_decomposition(F, _pth_root(F, f)):

@@ -4,7 +4,11 @@ A list of univariate polynomials is square-free when no nonempty sub-collection
 multiplies to a square over the algebraic closure.  Because irreducibles over
 F_q are separable, a product is a closure-square exactly when every irreducible
 factor appears with even multiplicity, so the test reduces to GF(2) linear
-independence of the factor-multiplicity parity vectors.
+independence of the factor-multiplicity parity vectors.  is_squarefree_list
+builds them without factoring: the members' parts of odd multiplicity, from
+square-free decomposition, are refined by gcds into pairwise-coprime square-free
+pieces, each a product of irreducibles no other piece has, so parity vectors
+over the pieces have the same dependencies, and the same witnesses.
 
 count_sign_pattern scans every field element and counts those where each
 polynomial hits its prescribed character sign; for a square-free list the
@@ -36,7 +40,9 @@ import numpy as np
 
 from .errors import VerificationFailure, ZeroPolynomial
 from .field import Field
-from .gfpoly import Poly, degree, factorize, normalize, poly_eval_vec
+# factorize: no function here calls it; perfbench's traced pass wraps weil.factorize
+from .gfpoly import (Poly, degree, factorize, monic, normalize, poly_div, poly_eval_vec,
+                     poly_gcd, squarefree_decomposition)
 from .pool import chunked_map
 from .rng import SplitMix64
 
@@ -82,15 +88,39 @@ def _first_dependency(bits: np.ndarray) -> np.ndarray:
     return np.where(dep.any(axis=1), seen[np.arange(n), dep.argmax(axis=1)], 0)
 
 
+def _coprime_base(F: Field, parts: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
+    """Factor refinement by gcds (Bach, Driscoll and Shallit 1993): monic
+    square-free parts, each with its member's bit, become pairwise-coprime monic
+    pieces, each with the bits of the parts it divides; every part is the product
+    of the pieces that carry its bit."""
+    base: list[tuple[Poly, int]] = []
+    for a, bit in parts:
+        out = []
+        for b, mask in base:
+            g = poly_gcd(F, a, b)
+            if degree(g) > 0:
+                a, b = poly_div(F, a, g), poly_div(F, b, g)
+                out.append((g, mask | bit))
+            if degree(b) > 0:
+                out.append((b, mask))
+        if degree(a) > 0:
+            out.append((a, bit))
+        base = out
+    return base
+
+
 def is_squarefree_list(F: Field, polys: list[Poly]) -> SquarefreeResult:
-    """GF(2) independence test of factor-multiplicity parity vectors, by factorize."""
-    columns: dict[Poly, int] = {}
-    bits = []
-    for idx, p in enumerate(polys):
-        if not normalize(p):
+    """GF(2) independence test of the members' parity vectors over a coprime base
+    of their parts of odd multiplicity, built by gcds alone."""
+    parts = []
+    for idx, p in enumerate(map(normalize, polys)):
+        if not p:
             raise ZeroPolynomial(f"list entry {idx} is the zero polynomial")
-        bits.append(sum(1 << columns.setdefault(irr, len(columns))
-                        for irr, mult in factorize(F, p).factors if mult % 2))
+        parts += [(h, 1 << idx) for h, mult in squarefree_decomposition(F, monic(F, p))
+                  if mult % 2]
+    base = _coprime_base(F, parts)
+    bits = [sum(1 << i for i, (_, mask) in enumerate(base) if mask >> idx & 1)
+            for idx in range(len(polys))]
     w = int(_first_dependency(np.array([bits], dtype=object))[0]) if bits else 0
     return SquarefreeResult(not w, tuple(i for i in range(len(polys)) if w >> i & 1) or None)
 

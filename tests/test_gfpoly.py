@@ -16,6 +16,7 @@ from mnaq.gfpoly import (
     poly_mul,
     poly_pow_mod,
     poly_sub,
+    squarefree_decomposition,
 )
 from mnaq.rng import SplitMix64
 
@@ -130,6 +131,15 @@ def test_factor_zero_raises():
 def test_factor_constant():
     fac = factorize(field(7), (5,))
     assert fac.unit == 5 and fac.factors == ()
+
+
+@pytest.mark.parametrize("q", [7, 27])
+@pytest.mark.parametrize("c", [(1,), (3,)])
+def test_squarefree_decomposition_of_a_constant_is_empty(q, c):
+    # the derivative is zero and the p-th root of c is a constant again, so
+    # without the degree-0 stop this recursed without end; the empty product
+    # rebuilds the monic constant
+    assert squarefree_decomposition(field(q), c) == []
 
 
 @pytest.mark.parametrize("q", [13, 27, 49])

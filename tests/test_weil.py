@@ -9,15 +9,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from mnaq import weil
+from mnaq import gfpoly, weil
 from mnaq.cli import EXIT_VERIFY, main
 from mnaq.errors import VerificationFailure, ZeroPolynomial
+from mnaq.field import odd_prime_powers
 from mnaq.gfpoly import degree, factorize, poly_derivative, poly_eval, poly_gcd, poly_mul
 from mnaq.rng import SplitMix64
 from mnaq.weil import (
     CONDITION_LABELS,
     SLICE_POLYS,
     PolySpec,
+    SquarefreeResult,
     count_sign_pattern,
     is_squarefree_list,
     r_set,
@@ -262,6 +264,79 @@ def test_first_dependency_matches_prefix_elimination(m, width, ands):
     want = [oracle_dependency(row) for row in rows]
     assert [tuple(i for i in range(m) if w >> i & 1) or None for w in got] == want
     assert None in want and any(want)
+
+
+SQUAREFREE_ORACLE_QS = [q for q in odd_prime_powers(3, 199) if field(q).k == 1] + [
+    9, 25, 27, 49, 81, 125, 243]
+
+
+def random_member(F, rnd, lo=1, hi=4):
+    """A polynomial of degree lo..hi with random coefficients and a nonzero lead."""
+    d = rnd.randint(lo, hi)
+    return tuple(rnd.randrange(F.q) for _ in range(d)) + (rnd.randrange(1, F.q),)
+
+
+def power(F, a, e):
+    return functools.reduce(functools.partial(poly_mul, F), [a] * e)
+
+
+def planted_lists(F, rnd):
+    """Four random lists of 1-4 members of degree 1-4, then one list per planted
+    case, padded with 0-2 random members and shuffled."""
+    def small():
+        return random_member(F, rnd, 1, 2)
+
+    a, b, c, g = small(), small(), small(), small()
+    plants = [[a, b, poly_mul(F, a, b)],                               # product of two
+              [a, poly_mul(F, a, power(F, c, 2))],                     # times a square
+              [a, a],                                                  # repeated
+              [poly_mul(F, a, c), poly_mul(F, b, c)],                  # shared factor
+              [poly_mul(F, a, c), poly_mul(F, b, c), poly_mul(F, a, b)],
+              [(rnd.randrange(1, F.q),)]]                              # a constant
+    if F.p in (3, 5, 7):  # zero derivative: g^p and a random h(x^p)
+        h = random_member(F, rnd, 1, 1)
+        plants += [[g, power(F, g, F.p)], [(h[0],) + (0,) * (F.p - 1) + (h[1],)]]
+    out = [[random_member(F, rnd) for _ in range(rnd.randint(1, 4))] for _ in range(4)]
+    for plant in plants:
+        polys = plant + [random_member(F, rnd) for _ in range(rnd.randint(0, 2))]
+        rnd.shuffle(polys)
+        out.append(polys)
+    return out
+
+
+@pytest.mark.parametrize("q", SQUAREFREE_ORACLE_QS)
+def test_squarefree_list_matches_the_factorization_oracle(q):
+    F, rnd = field(q), random.Random(q)
+    verdicts = Counter()
+    for _ in range(3):
+        for polys in planted_lists(F, rnd):
+            want = oracle_witness(F, polys)
+            assert is_squarefree_list(F, polys) == SquarefreeResult(want is None, want), polys
+            verdicts[want is None] += 1
+    assert verdicts[True] and verdicts[False]
+
+
+@pytest.mark.parametrize("q", [7, 27])
+def test_squarefree_list_with_a_constant_member(q):
+    # a constant is a square over the closure, so it is a dependency on its own
+    res = is_squarefree_list(field(q), [X, (3,)])
+    assert res == SquarefreeResult(False, (1,))
+
+
+def test_squarefree_lists_use_gcds_only(monkeypatch):
+    # neither Cantor-Zassenhaus nor a modular power decides a list
+    def forbidden(*_args):
+        raise AssertionError("the list test factorized a member")
+
+    monkeypatch.setattr(gfpoly, "poly_pow_mod", forbidden)
+    monkeypatch.setattr(weil, "factorize", forbidden)
+    rep = run_weil_trials(field(1009), 20, seed=7)
+    assert rep.trials == 20 and rep.ok
+    F = field(27)
+    a, b = (5, 1), (0, 3, 1)
+    polys = [poly_mul(F, a, b), (1, 0, 0, 1), a, (2, 1), b]  # x^3 + 1 = (x + 1)^3
+    assert is_squarefree_list(F, polys) == SquarefreeResult(False, (0, 2, 4))
+    assert is_squarefree_list(F, polys[:4]).squarefree
 
 
 def oracle_violations(F, c):
