@@ -14,8 +14,8 @@ T is closed under the swap (x, y) -> (y, x), the inversion (x, y) -> (1/x, 1/y) 
 
 On a line x = λy each sign is a window of chi(1 + g^e): an entry's monomials
 x^i y^j take at most two total degrees, so it is y^d (A(λ) y + B(λ)), and on a
-square y its chi is chi(B) chi(1 + (A/B) y) (LINE_COEFFS).  A block of lines
-copies one row of _sign_tile per sign; slice_eval reads the same offsets, x by x.
+square y its chi is chi(B) chi(1 + (A/B) y) (LINE_COEFFS).  D reads it from a parity
+row of _sign_tile packed as Planes, 64 y a word; slice_eval reads it x by x.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -42,7 +43,9 @@ from .pool import chunked_map
 from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair, square_codes
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
-BLOCK_SIGNS = 1 << 14  # signs (rows x width) of one name per block of sigma_count_D's lines
+# words (lines x nw) of one plane per sign in a block of sigma_count_D; larger blocks ran
+# faster (1536: about 1.2x at 10009) but held more bytes than the int8 kernel's blocks
+BLOCK_WORDS = 1280
 LINE_ROWS = 1 << 8  # lines per evaluation of their polynomials in _line_signs
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
@@ -159,11 +162,36 @@ def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
     return SliceEval(xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
 
 
-def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
+class Planes(NamedTuple):
+    """Signs as bit planes pos (== 1) and neg (== -1), with the sign operations of
+    class_masks; a comparison gives the words of its mask."""
+    pos: np.ndarray
+    neg: np.ndarray
+    shape = property(lambda self: self.pos.shape)
+
+    def __neg__(self) -> Planes:
+        return Planes(self.neg, self.pos)
+
+    def __mul__(self, other: Planes) -> Planes:
+        p, n, q, m = *self, *other
+        return Planes(p & q | n & m, p & m | n & q)
+
+    def __eq__(self, other) -> np.ndarray:
+        if isinstance(other, Planes):  # both 1, both -1 or both 0
+            p, n, q, m = *self, *other
+            return p & q | n & m | ~(p | n | q | m)
+        return ~(self.pos | self.neg) if other == 0 else self[(1, -1).index(other)]
+
+    def __ne__(self, other) -> np.ndarray:
+        return ~(self == other)
+
+
+def class_masks(mod4: int, chars: dict[str, np.ndarray | Planes]) -> np.ndarray:
     """The sixteen class masks, shape (16, ...): row 8i+4j+2r+s marks S_ij^rs.
 
-    chars maps CHAR_NAMES to sign arrays that broadcast together, at pairs of
-    squares (x, y) of a field of order q = mod4 mod 4; nothing else is read."""
+    chars maps CHAR_NAMES to int8 sign arrays that broadcast together (bool masks) or
+    to Planes (uint64 masks), at pairs of squares (x, y) of a field of order q = mod4
+    mod 4; nothing else is read."""
     (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4, c1y) = (
         chars[k] for k in CHAR_NAMES)
     # the mirrored forms differ from the listed ones by chi(-1):
@@ -171,7 +199,8 @@ def class_masks(mod4: int, chars: dict[str, np.ndarray]) -> np.ndarray:
     c1x, yp1mx, ym1mx, ypxymx, ymxymx = (v if mod4 == 1 else -v
                                          for v in (xm1, xm1my, xp1my, xmxymy, xpxymy))
 
-    m = np.zeros((16, *np.broadcast_shapes(*(v.shape for v in chars.values()))), dtype=bool)
+    m = np.zeros((16, *np.broadcast_shapes(*(v.shape for v in chars.values()))),
+                 dtype=(eps == 1).dtype)  # bool on int8 signs, words on Planes
     if mod4 == 1:
         # the six (i, j) mixed classes not set here are empty
         m[0] = m[15] = (c1x == eps) & (c1y == eps)
@@ -224,7 +253,7 @@ def orbit_lines(F: Field) -> np.ndarray:
     return read_only(np.column_stack([np.flatnonzero(n), n[n > 0]]))[0]
 
 
-def _d_chunk(F: Field, tile: np.ndarray, lines: np.ndarray) -> int:
+def _d_chunk(F: Field, copies: np.ndarray, lines: np.ndarray) -> int:
     M, width = (F.q - 1) // 2, (F.q + 3) // 4  # width: the y a line scans, (q - 1)//4 + 1
     m, n = lines.T
     # y = g^(2k) for k in [start, start + width); k -> r - k (the swap after the inversion)
@@ -234,16 +263,24 @@ def _d_chunk(F: Field, tile: np.ndarray, lines: np.ndarray) -> int:
     start = (r + 1) // 2
     cut = np.column_stack([1 - r % 2, r % 2 + 1 - M % 2])
     off = _line_signs(F, 2 * m) + (2 * start).astype(np.int32)
-    # the signs at off are tile[off::2][:width], a window of one parity of tile
-    windows = sliding_window_view(np.stack([tile[::2], tile[1::2]]), width, axis=1)
-    rows = max(1, BLOCK_SIGNS // width)
+    # the signs at off are tile[off::2][:width], the first width bits of a window of nw
+    # words of one parity row; valid clears the bits past width, x1_bit the x = 1 bit
+    nw = -(-width // 64)
+    windows = sliding_window_view(copies, 8 * nw, axis=-1)
+    valid = np.full(nw, ~np.uint64(0))
+    valid[-1] >>= 64 * nw - width
+    x1_word, x1_bit = np.divmod(r - start, 64)
+    rows = max(1, BLOCK_WORDS // nw)
     total = 0
     for s in range(0, len(lines), rows):
         b = slice(s, s + rows)
         half, odd = np.divmod(off[:, b], 2)
-        t = ~class_masks(F.q % 4, dict(zip(CHAR_NAMES, windows[odd, half]))).any(axis=0)
-        t[np.arange(t.shape[0]), (r - start)[b]] = False
-        total += int(n[b] @ (2 * t.sum(axis=1) - (t[:, [0, -1]] * cut[b]).sum(axis=1)))
+        planes = map(Planes, *(windows[k, odd, half & 7, half >> 3].view("<u8") for k in (0, 1)))
+        t = ~np.bitwise_or.reduce(class_masks(F.q % 4, dict(zip(CHAR_NAMES, planes)))) & valid
+        t[np.arange(t.shape[0]), x1_word[b]] &= ~(np.uint64(1) << x1_bit[b].astype(np.uint64))
+        edge = (t[:, [0, -1]] >> np.uint64([0, (width - 1) % 64]) & 1).astype(np.int64)
+        count = 2 * np.bitwise_count(t).sum(axis=1, dtype=np.int64) - (edge * cut[b]).sum(axis=1)
+        total += int(n[b] @ count)
     return total
 
 
@@ -253,8 +290,18 @@ def sigma_count_D(F: Field, jobs: int = 1) -> int:
     T is closed under (x, y) -> (y, x), (1/x, 1/y) and (x^p, y^p) (each class_masks sign is
     chi of a polynomial with integer coefficients), which send the line of λ to those of
     1/λ, 1/λ and λ^p, so a line weighs the n of its orbit; the first two together keep
-    the line and send y to 1/x, so a line scans half its y, each twice, a fixed y once."""
-    return sum(chunked_map(_d_chunk, (F, _sign_tile(F)), orbit_lines(F), jobs))
+    the line and send y to 1/x, so a line scans half its y, each twice, a fixed y once.
+
+    _sign_tile's parity rows are packed here, once, for forked workers to inherit: the
+    planes == 1 and == -1 in 8 copies, bit j of copy s holding sign j + s (14q bytes),
+    so nw '<u8' words at [plane, parity, h % 8, h // 8] hold signs h, h + 1, ..."""
+    rows = _sign_tile(F).reshape(-1, 2).T
+    planes = np.zeros((2, 2, 8 * (rows.shape[1] // 8 + 10)), dtype=bool)  # a window may
+    planes[..., :rows.shape[1]] = rows == 1, rows == -1  # reach 63 signs past its row
+    packed = np.packbits(planes, axis=-1, bitorder="little")[:, :, None]
+    s = np.arange(8, dtype=np.uint8)[:, None]
+    copies = (packed[..., :-1] >> s) | (packed[..., 1:] << (8 - s))
+    return sum(chunked_map(_d_chunk, (F, copies), orbit_lines(F), jobs))
 
 
 def slice_params(F: Field) -> list[int]:

@@ -169,7 +169,9 @@ def _pth_root(F: Field, a: Poly) -> Poly:
 
 def squarefree_decomposition(F: Field, f: Poly) -> list[tuple[Poly, int]]:
     """Monic square-free parts with multiplicities, pairwise coprime; product
-    rebuilds f (monic), so a nonzero constant has none."""
+    rebuilds f (monic), so a nonzero constant has none; zero raises ZeroPolynomial."""
+    if not f:
+        raise ZeroPolynomial("the zero polynomial has no square-free decomposition")
     out: list[tuple[Poly, int]] = []
     if degree(f) == 0:
         return out

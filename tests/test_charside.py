@@ -8,6 +8,7 @@ from mnaq import assoc, charside
 from mnaq.assoc import ALL_CLASSES, class_code_grid
 from mnaq.charside import (
     CHAR_NAMES,
+    Planes,
     class_masks,
     is_regular_pair,
     exceptional_pairs,
@@ -180,16 +181,17 @@ def test_sigma_d_matches_method_c(q, sigma_small):
 def test_sigma_d_matches_full_scan(monkeypatch):
     # the full scan over every pair of every slice, kept here as the oracle
     # for the orbit-weighted count; D runs at the shipped block size and in
-    # blocks of 2 and 3 lines.  625, 729 and 1331 have subfields, so some of
-    # their orbits are shorter than 2k
-    for q in [*odd_prime_powers(3, 400), 625, 729, 1331]:
+    # blocks of 1, 2 and 3 lines.  625, 729 and 1331 have subfields, so some of
+    # their orbits are shorter than 2k; a line of 257, 509 and 1021 scans 65, 128
+    # and 256 y, one bit past a word and whole words
+    for q in [*odd_prime_powers(3, 400), 257, 509, 625, 729, 1021, 1331]:
         F = field(q)
         squares = [c for c in range(2, q) if F.chi(c) == 1]
         full = sum(int(slice_eval(F, c).t_mask.sum()) for c in squares)
         assert sigma_count_D(F) == full, q
-        width = (q - 1) // 4 + 1  # the y a line scans, padding included
-        for rows in (2, 3):
-            monkeypatch.setattr(charside, "BLOCK_SIGNS", rows * width)
+        words = -(-((q - 1) // 4 + 1) // 64)  # a line's y, padding included, 64 a word
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(charside, "BLOCK_WORDS", rows * words)
             assert sigma_count_D(F) == full, (q, rows)
         monkeypatch.undo()
 
@@ -289,6 +291,61 @@ def test_class_masks_pinned_on_the_sign_cube(mod4, crc):
     assert (~m.any(axis=0)).sum() == (3812 if mod4 == 1 else 1650)
 
 
+def to_planes(signs: np.ndarray) -> Planes:
+    """(..., width) int8 signs as Planes of (..., nw) uint64 words, 64 signs a word,
+    least significant bit first; the signs past width are 0."""
+    width = signs.shape[-1]
+    padded = np.zeros((*signs.shape[:-1], 64 * -(-width // 64)), dtype=np.int8)
+    padded[..., :width] = signs
+    return Planes(*(np.packbits(padded == v, axis=-1, bitorder="little").view("<u8")
+                    for v in (1, -1)))
+
+
+def from_words(words: np.ndarray, width: int) -> np.ndarray:
+    """The first width bits of each row of (..., nw) uint64 words, as bools."""
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), axis=-1, bitorder="little")
+    return bits[..., :width].astype(bool)
+
+
+def test_planes_sign_operations_match_int8():
+    # every pair of signs in {1, 0, -1}, zeros included
+    u, v = (np.array(a, dtype=np.int8) for a in np.meshgrid([1, 0, -1], [1, 0, -1]))
+    u, v = u.reshape(1, 9), v.reshape(1, 9)
+    pu, pv = to_planes(u), to_planes(v)
+    assert pu.shape == (1, 1)
+    for planes, signs in ((-pu, -u), (pu * pv, u * v)):
+        for c in (1, -1, 0):
+            assert np.array_equal(from_words(planes == c, 9), signs == c)
+    for c in (1, -1, 0):
+        assert np.array_equal(from_words(pu != c, 9), u != c)
+    assert np.array_equal(from_words(pu == pv, 9), u == v)
+    assert np.array_equal(from_words(pu != pv, 9), u != v)
+    with pytest.raises(ValueError):
+        pu == 2
+
+
+@pytest.mark.parametrize("width", [129, 127])
+@pytest.mark.parametrize("mod4", [1, 3])
+def test_class_masks_on_planes_match_int8(mod4, width):
+    # the sign cube, each vector one column, then seeded signs with zeros, cut into
+    # lines of width y whose last word is partial (width % 64 is 1 or 63); the rules
+    # on planes, masked to the width as D masks them, give the int8 T bit for bit
+    cube = np.stack([np.broadcast_to(v, (2,) * len(CHAR_NAMES)).ravel()
+                     for v in sign_cube().values()])
+    rows = 300
+    rng = np.random.default_rng(5)
+    rest = rng.integers(-1, 2, size=(len(CHAR_NAMES), rows * width - cube.shape[1]))
+    signs = np.hstack([cube, rest]).astype(np.int8).reshape(len(CHAR_NAMES), rows, width)
+    t = ~class_masks(mod4, dict(zip(CHAR_NAMES, signs))).any(axis=0)
+    planes = dict(zip(CHAR_NAMES, map(to_planes, signs)))
+    valid = to_planes(np.ones((1, width), dtype=np.int8)).pos
+    words = ~np.bitwise_or.reduce(class_masks(mod4, planes), axis=0) & valid
+    bits = 64 * -(-width // 64)
+    assert words.dtype == np.uint64 and words.shape == (rows, bits // 64)
+    assert np.array_equal(from_words(words, bits), np.pad(t, ((0, 0), (0, bits - width))))
+    assert t[:cube.shape[1] // width].sum() > 0 and (signs == 0).sum() > 5000
+
+
 def signed_permutation(subst) -> dict[str, tuple[str, int]]:
     """name -> (image, k) for each of CHAR_NAMES: chi of the name's polynomial at the
     point subst maps (x, y) to is chi(-1)^k times chi of image's polynomial at (x, y),
@@ -328,8 +385,8 @@ def test_t_on_the_sign_cube_is_invariant_under_swap_and_inversion(mod4):
 
 def test_sigma_d_jobs_matches_serial():
     # one prime of each residue mod 4 and extension fields of both; with 8 lines
-    # or more D runs the fork pool
-    for q in (61, 67, 125, 243, 2401):
+    # or more D runs the fork pool, whose workers inherit the packed bit planes
+    for q in (61, 67, 125, 243, 2401, 10007):
         F = field(q)
         assert len(orbit_lines(F)) >= 8
         assert sigma_count_D(F, jobs=2) == sigma_count_D(F), q

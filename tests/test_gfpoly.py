@@ -142,6 +142,14 @@ def test_squarefree_decomposition_of_a_constant_is_empty(q, c):
     assert squarefree_decomposition(field(q), c) == []
 
 
+@pytest.mark.parametrize("q", [7, 27])
+def test_squarefree_decomposition_of_zero_raises(q):
+    # zero has degree -1, so the degree-0 stop misses it, and its derivative and
+    # p-th root are zero again: it must raise, as factorize does, not recurse
+    with pytest.raises(ZeroPolynomial):
+        squarefree_decomposition(field(q), ())
+
+
 @pytest.mark.parametrize("q", [13, 27, 49])
 def test_factor_roundtrip_random(q):
     F = field(q)
