@@ -3,9 +3,10 @@
 Membership of (x, y) in a class S_ij^rs is decided purely from quadratic
 characters of the polynomial family weil.SLICE_POLYS: class_masks holds the
 rules (one set per residue of q mod 4) as a function of those signs alone.
-slice_eval applies them to a whole slice y = c, sigma_count_D to blocks of lines
-x = λy, and reports.limit_constant to every sign vector; s_class_member reads
-one entry of slice_eval's masks, so checking membership checks the counting code.
+pair_signs reads those signs at any pairs from the tables D reads; slice_eval
+applies the rules to a whole slice y = c, s_class_member to one pair and t_grid to
+every pair, sigma_count_D to blocks of lines x = λy, and reports.limit_constant to
+every sign vector, so checking membership checks the counting code.
 The slices also feed the T-partition bookkeeping and the per-slice counters with
 their stated bounds.
 
@@ -15,7 +16,7 @@ T is closed under the swap (x, y) -> (y, x), the inversion (x, y) -> (1/x, 1/y) 
 On a line x = λy each sign is a window of chi(1 + g^e): an entry's monomials
 x^i y^j take at most two total degrees, so it is y^d (A(λ) y + B(λ)), and on a
 square y its chi is chi(B) chi(1 + (A/B) y) (LINE_COEFFS).  D reads it from a parity
-row of _sign_tile packed as Planes, 64 y a word; slice_eval reads it x by x.
+row of _sign_tile packed as Planes, 64 y a word; pair_signs reads it pair by pair.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -94,15 +95,15 @@ def exceptional_pairs(F: Field) -> list[SPair]:
 
 
 def s_class_member(F: Field, sp: SPair, cls: tuple[int, int, int, int]) -> bool:
-    """Membership of sp in S_ij^rs: one entry of the masks slice_eval counts."""
+    """Membership of sp in S_ij^rs: the class rules at the signs of sp."""
     x, y = sp
+    if cls not in ALL_CLASSES:
+        raise ValueError(f"{cls} is not a class (i, j, r, s) of bits")
     if not is_s_pair(F, x, y):
         raise NotInS(f"({x}, {y}) is not in S(F_{F.q})")
     if not is_regular_pair(F, x, y):
         raise IrregularPair(f"({x}, {y}) violates the regularity condition")
-    i, j, r, s = cls
-    ev = slice_eval(F, y, np.array([x], dtype=np.int64))
-    return bool(ev.classes[8 * i + 4 * j + 2 * r + s, 0])
+    return bool(class_masks(F.q % 4, pair_signs(F, x, y))[ALL_CLASSES.index(cls)])
 
 
 # ----------------------------------------------------------------------
@@ -143,21 +144,26 @@ def _line_signs(F: Field, e: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=1)
 def _line_table(F: Field) -> tuple[np.ndarray, np.ndarray]:
-    """(_sign_tile(F), _line_signs at every e < q - 1), read-only, for slice_eval."""
+    """(_sign_tile(F), _line_signs at every e < q - 1), read-only, for pair_signs."""
     return read_only(_sign_tile(F), _line_signs(F, np.arange(F.q - 1)))
 
 
-def slice_eval(F: Field, c: int, xs: np.ndarray | None = None) -> SliceEval:
-    """Evaluate every class rule on the slice y = c at the x in xs (default: the
-    squares outside {0, 1}), each x on its line x = (x/c) y; c a square, the x nonzero."""
-    if xs is None:
-        xs = square_codes(F)
-    X = xs[xs != c]
-    if F.chi_table[c] != 1 or not X.all():
-        raise ValueError("slice_eval takes a nonzero square c and nonzero x")
+def pair_signs(F: Field, x, y) -> dict[str, np.ndarray]:
+    """The CHAR_NAMES signs at the pairs (x, y), read on their lines x = (x/y) y: codes
+    that broadcast together, x nonzero and y a nonzero square."""
     tile, off = _line_table(F)
     log = F.logs[0]
-    chars = dict(zip(CHAR_NAMES, tile[log[c]:][off[:, (log[X] - log[c]) % (F.q - 1)]]))
+    return dict(zip(CHAR_NAMES, tile[off[:, (log[x] - log[y]) % (F.q - 1)] + log[y]]))
+
+
+def slice_eval(F: Field, c: int) -> SliceEval:
+    """Evaluate every class rule on the slice y = c at the squares outside {0, 1, c};
+    c a nonzero square."""
+    if F.chi_table[c] != 1:
+        raise ValueError("slice_eval takes a nonzero square c")
+    xs = square_codes(F)
+    X = xs[xs != c]
+    chars = pair_signs(F, X, c)
     m = class_masks(F.q % 4, chars)
     return SliceEval(xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
 
@@ -179,7 +185,7 @@ class Planes(NamedTuple):
     def __eq__(self, other) -> np.ndarray:
         if isinstance(other, Planes):  # both 1, both -1 or both 0
             p, n, q, m = *self, *other
-            return p & q | n & m | ~(p | n | q | m)
+            return ~(p ^ q | n ^ m)  # a sign never sets both of its planes
         return ~(self.pos | self.neg) if other == 0 else self[(1, -1).index(other)]
 
     def __ne__(self, other) -> np.ndarray:
@@ -369,7 +375,7 @@ def t_partition(F: Field) -> TPartitionReport:
     total = 0
     r = np.zeros((3, 16), dtype=np.int64)  # R(rho) on T, on T1 and on T2
     for c in map(int, xs):
-        ev = slice_eval(F, c, xs)
+        ev = slice_eval(F, c)
         total += int(ev.t_mask.sum())
         pieces = t_pieces(mod4, ev.t_mask, ev.chars)
         for key in acc:
@@ -474,8 +480,7 @@ def t_grid(F: Field) -> np.ndarray:
     if F.q > CAYLEY_LIMIT:
         raise TooLarge(f"T grids are materialized only for q <= {CAYLEY_LIMIT}")
     xs = square_codes(F)
+    X, Y = xs[:, None], xs[None, :]
     grid = np.zeros((F.q, F.q), dtype=bool)
-    for c in map(int, xs):
-        ev = slice_eval(F, c, xs)
-        grid[ev.xs[ev.t_mask], c] = True
+    grid[np.ix_(xs, xs)] = ~class_masks(F.q % 4, pair_signs(F, X, Y)).any(axis=0) & (X != Y)
     return grid

@@ -259,9 +259,7 @@ class Field:
         return int(self.chi_table[u])
 
     def sqrt(self, u: int) -> int:
-        """A square root of u; valid only when chi(u) >= 0."""
-        if u == 0:
-            return 0
+        """A square root of u; valid only when chi(u) >= 0 (sqrt_table[0] is 0)."""
         if self.chi_table[u] < 0:
             raise ValueError(f"{u} is not a square in F_{self.q}")
         return int(self.sqrt_table[u])

@@ -173,14 +173,7 @@ def squarefree_decomposition(F: Field, f: Poly) -> list[tuple[Poly, int]]:
     if not f:
         raise ZeroPolynomial("the zero polynomial has no square-free decomposition")
     out: list[tuple[Poly, int]] = []
-    if degree(f) == 0:
-        return out
-    fp = poly_derivative(F, f)
-    if not fp:
-        for h, m in squarefree_decomposition(F, _pth_root(F, f)):
-            out.append((h, m * F.p))
-        return out
-    g = poly_gcd(F, f, fp)
+    g = poly_gcd(F, f, poly_derivative(F, f))  # f itself, monic, when f' = 0
     w = poly_div(F, f, g)
     i = 1
     while w != ONE:
@@ -239,31 +232,6 @@ def _equal_degree(F: Field, f: Poly, d: int, rng: SplitMix64) -> list[Poly]:
             )
 
 
-def _factor_squarefree(F: Field, f: Poly, rng: SplitMix64) -> list[Poly]:
-    if degree(f) == 1:
-        return [f]
-    if degree(f) == 2:
-        return _factor_quadratic(F, f)
-    out = []
-    for prod, d in _distinct_degree(F, f):
-        out.extend(_equal_degree(F, prod, d, rng))
-    return out
-
-
-def _factor_quadratic(F: Field, f: Poly) -> list[Poly]:
-    """Monic x^2 + Bx + C via the discriminant (q is always odd here)."""
-    c0, b1, _ = f
-    disc = F.sub(F.mul(b1, b1), F.mul(F.embed(4), c0))
-    chi = F.chi(disc)
-    if chi == -1:
-        return [f]
-    inv2 = F.inv(F.embed(2))
-    s = F.sqrt(disc)
-    r1 = F.mul(F.sub(s, b1), inv2)
-    r2 = F.mul(F.sub(F.neg(s), b1), inv2)
-    return [(F.neg(r1), 1), (F.neg(r2), 1)]
-
-
 @dataclass(frozen=True)
 class Factorization:
     """unit * product(poly^mult) over monic pairwise-distinct irreducibles."""
@@ -284,14 +252,11 @@ def factorize(F: Field, p: Poly) -> Factorization:
     p = normalize(p)
     if not p:
         raise ZeroPolynomial("cannot factor the zero polynomial")
-    unit = p[-1]
-    f = monic(F, p)
-    if degree(f) == 0:
-        return Factorization(unit, ())
     rng = SplitMix64(FACTOR_SEED)
     counts: dict[Poly, int] = {}
-    for part, mult in squarefree_decomposition(F, f):
-        for irr in _factor_squarefree(F, part, rng):
-            counts[irr] = counts.get(irr, 0) + mult
+    for part, mult in squarefree_decomposition(F, monic(F, p)):
+        for prod, d in _distinct_degree(F, part):
+            for irr in _equal_degree(F, prod, d, rng):
+                counts[irr] = counts.get(irr, 0) + mult
     ordered = tuple(sorted(counts.items(), key=lambda kv: (degree(kv[0]), kv[0])))
-    return Factorization(unit, ordered)
+    return Factorization(p[-1], ordered)

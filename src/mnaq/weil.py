@@ -33,7 +33,7 @@ is_squarefree_list runs on one list tests these masks for all c of a block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 from itertools import combinations
 
 import numpy as np
@@ -336,10 +336,8 @@ def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
     consequences at every admissible c, in blocks of SLICE_BLOCK parameters."""
     rep = SliceListReport()
     for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
-        rep.admissible_count += part.admissible_count
-        rep.inadmissible_count += part.inadmissible_count
-        rep.inadmissible_slice_param_count += part.inadmissible_slice_param_count
-        rep.violations.extend(part.violations)
+        for f in fields(SliceListReport):
+            setattr(rep, f.name, getattr(rep, f.name) + getattr(part, f.name))
     return rep
 
 

@@ -13,6 +13,7 @@ from mnaq.charside import (
     is_regular_pair,
     exceptional_pairs,
     orbit_lines,
+    pair_signs,
     s_class_member,
     sigma_count_D,
     slice_counters,
@@ -91,8 +92,6 @@ def test_slice_eval_rejects_zero():
     F = field(13)
     with pytest.raises(ValueError):
         slice_eval(F, 0)
-    with pytest.raises(ValueError):
-        slice_eval(F, 4, np.array([0, 3, 9]))
 
 
 def test_slice_eval_rejects_a_nonsquare_c():
@@ -100,6 +99,14 @@ def test_slice_eval_rejects_a_nonsquare_c():
     F = field(13)
     with pytest.raises(ValueError):
         slice_eval(F, 2)
+
+
+@pytest.mark.parametrize("cls", [(0, 0, 0, -1), (0, 0, 2, 0), (2, 0, 0, 0), (0, 0, 0), (1,) * 5])
+def test_s_class_member_rejects_a_class_that_is_not_four_bits(cls):
+    # (0, 0, 0, -1) and (0, 0, 2, 0) once read rows 15 and 2 of the masks
+    F = field(13)
+    with pytest.raises(ValueError, match="not a class"):
+        s_class_member(F, SPair(3, 4), cls)
 
 
 def test_exceptional_pair_raises():
@@ -122,8 +129,7 @@ def test_exceptional_pairs_limited_and_in_union(q):
         assert (class_code_grid(F, phi_map(F, sp)) >= 0).any()
         # D needs no special case: the fixed characters there meet the rule of
         # class (0,0,0,0) when q = 1 mod 4 and of (0,1,1,0) when q = 3 mod 4
-        x, y = sp
-        assert slice_eval(F, y, np.array([x])).classes[0 if q % 4 == 1 else 6, 0], sp
+        assert class_masks(q % 4, pair_signs(F, *sp))[0 if q % 4 == 1 else 6], sp
 
 
 @pytest.mark.parametrize("q", [13, 17, 19, 23])
@@ -133,6 +139,7 @@ def test_membership_matches_e_side(q):
 
 
 def test_s_class_member_reads_slice_masks():
+    # the class rules at pair_signs against the classes the parameter side solves
     F = field(13)
     for sp in enumerate_S(F):
         if not is_regular_pair(F, *sp):
@@ -227,6 +234,38 @@ def test_slice_chars_match_horner(q):
                 want = F.chi_table[poly_eval_vec(F, p, ev.xs)]
                 assert np.array_equal(ev.chars[name], want), (c, p)
         assert (ev.chars["1-y"] == F.chi(F.sub(1, c))).all()
+
+
+def horner_signs(F, X, Y):
+    """The CHAR_NAMES signs at (X, Y) by Horner's rule on the SLICE_POLYS entries."""
+    X, Y = np.broadcast_arrays(X, Y)
+    return {name: F.chi_table[F.vsub(1, Y) if name == "1-y" else table_eval(F, name, X, Y)]
+            for name in CHAR_NAMES}
+
+
+@pytest.mark.parametrize("q", [2187, 10009])
+def test_pair_signs_match_horner_at_random_pairs(q):
+    # y a nonzero square, x any nonzero code: squares and nonsquares alike
+    F = field(q)
+    rng = np.random.default_rng(q + 1)
+    X = rng.integers(1, q, 10**4)
+    Y = rng.choice(np.flatnonzero(F.chi_table == 1), 10**4)
+    assert (F.chi_table[X] == -1).sum() > 4000
+    signs, want = pair_signs(F, X, Y), horner_signs(F, X, Y)
+    assert list(signs) == list(CHAR_NAMES)
+    for name in CHAR_NAMES:
+        assert np.array_equal(signs[name], want[name]), name
+
+
+@pytest.mark.parametrize("q", [13, 27])
+def test_pair_signs_broadcast_a_column_of_x_against_a_row_of_y(q):
+    F = field(q)
+    X = np.arange(1, q)[:, None]
+    Y = np.flatnonzero(F.chi_table == 1)[None, :]
+    signs, want = pair_signs(F, X, Y), horner_signs(F, X, Y)
+    for name in CHAR_NAMES:
+        assert signs[name].shape == (q - 1, (q - 1) // 2)
+        assert np.array_equal(signs[name], want[name]), name
 
 
 def line_parts(F, lam):
@@ -586,6 +625,22 @@ def test_slice_sums_reconcile_with_partition(q):
             sums[key] = sums.get(key, 0) + val
     for key, val in sums.items():
         assert val == part.parts[key]
+
+
+def slice_loop_t_grid(F):
+    """T on the (q, q) grid slice by slice, each slice y = c at the squares x != c."""
+    grid = np.zeros((F.q, F.q), dtype=bool)
+    for c in map(int, square_codes(F)):
+        ev = slice_eval(F, c)
+        grid[ev.xs[ev.t_mask], c] = True
+    return grid
+
+
+def test_t_grid_matches_the_slice_loop():
+    # the grid masks its diagonal x = y, which no slice scans
+    for q in odd_prime_powers(3, 49):
+        F = field(q)
+        assert np.array_equal(t_grid(F), slice_loop_t_grid(F)), q
 
 
 @pytest.mark.parametrize("q", [27, 49, 81, 125, 243, 343])

@@ -136,16 +136,16 @@ def test_factor_constant():
 @pytest.mark.parametrize("q", [7, 27])
 @pytest.mark.parametrize("c", [(1,), (3,)])
 def test_squarefree_decomposition_of_a_constant_is_empty(q, c):
-    # the derivative is zero and the p-th root of c is a constant again, so
-    # without the degree-0 stop this recursed without end; the empty product
-    # rebuilds the monic constant
+    # the derivative is zero and the p-th root of c is a constant again; gcd(c, 0)
+    # is 1, so the one pass over c finds no part of positive degree and leaves no
+    # p-th root: the empty product rebuilds the monic constant
     assert squarefree_decomposition(field(q), c) == []
 
 
 @pytest.mark.parametrize("q", [7, 27])
 def test_squarefree_decomposition_of_zero_raises(q):
-    # zero has degree -1, so the degree-0 stop misses it, and its derivative and
-    # p-th root are zero again: it must raise, as factorize does, not recurse
+    # zero's derivative and p-th root are zero again: it must raise, as factorize
+    # does, not recurse
     with pytest.raises(ZeroPolynomial):
         squarefree_decomposition(field(q), ())
 
@@ -176,6 +176,76 @@ def test_irreducible_factors_have_no_roots_when_deg2():
         for poly, _ in factorize(F, p).factors:
             if degree(poly) == 2:
                 assert all(poly_eval(F, poly, x) != 0 for x in range(27))
+
+
+def check_factorization(F, p):
+    """factorize(F, p), checked: it rebuilds p, its factors are monic, and each of
+    degree 2 or 3 has no root in F, by trying every code, so it is irreducible."""
+    fac = factorize(F, p)
+    assert fac.rebuild(F) == normalize(p)
+    for poly, mult in fac.factors:
+        assert poly == monic(F, poly) and degree(poly) >= 1 and mult >= 1
+        if 2 <= degree(poly) <= 3:
+            assert all(poly_eval(F, poly, x) for x in range(F.q)), poly
+    return dict(fac.factors)
+
+
+def power_of(F, p, e):
+    out = ONE
+    for _ in range(e):
+        out = poly_mul(F, out, p)
+    return out
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 27])
+def test_factor_squarefree_parts_of_degree_one_and_two(q):
+    # the parts of degree 1 and 2 go through distinct- and equal-degree splitting
+    # like every other part, split or irreducible
+    F = field(q)
+    zeta = int(F.chi_table.argmin())  # a nonsquare, so x^2 - zeta is irreducible
+    irr = (F.neg(zeta), 0, 1)
+    lin = [(F.neg(a), 1) for a in (1, 2, 3)]
+    split = poly_mul(F, lin[1], lin[2])
+    assert check_factorization(F, lin[0]) == {lin[0]: 1}
+    assert check_factorization(F, split) == {lin[1]: 1, lin[2]: 1}
+    assert check_factorization(F, irr) == {irr: 1}
+    assert check_factorization(F, poly_mul(F, irr, power_of(F, lin[0], 2))) == {
+        irr: 1, lin[0]: 2}
+    assert check_factorization(F, poly_mul(F, split, power_of(F, lin[0], 2))) == {
+        lin[0]: 2, lin[1]: 1, lin[2]: 1}
+    assert check_factorization(F, poly_mul(F, power_of(F, split, 2), irr)) == {
+        irr: 1, lin[1]: 2, lin[2]: 2}
+    # a nonmonic input keeps its leading code as the unit
+    assert factorize(F, poly_mul(F, (zeta,), irr)).unit == zeta
+    if q == 7:  # (x^2 + 1)(x - 1)^2, -1 a nonsquare mod 7
+        assert check_factorization(F, poly_mul(F, (1, 0, 1), (1, 5, 1))) == {
+            (1, 0, 1): 1, (6, 1): 2}
+
+
+def test_factor_a_pth_power_with_a_nonconstant_root():
+    # f' = 0 and the cube root (x - 1)(x^2 - zeta) x is not constant, over 27, alone
+    # and times a square-free part and a square
+    F = field(27)
+    zeta = int(F.chi_table.argmin())
+    irr, lin = (F.neg(zeta), 0, 1), (F.neg(1), 1)
+    root = poly_mul(F, poly_mul(F, lin, irr), X)
+    cube = power_of(F, root, 3)
+    assert poly_derivative(F, cube) == ()
+    assert check_factorization(F, cube) == {X: 3, lin: 3, irr: 3}
+    other = (F.neg(2), 1)
+    assert check_factorization(F, poly_mul(F, cube, other)) == {
+        X: 3, lin: 3, irr: 3, other: 1}
+    assert check_factorization(F, poly_mul(F, cube, poly_mul(F, other, other))) == {
+        X: 3, lin: 3, irr: 3, other: 2}
+    assert check_factorization(F, power_of(F, lin, 9)) == {lin: 9}
+
+
+@pytest.mark.parametrize("q", [7, 9, 25, 27])
+def test_factor_constants(q):
+    F = field(q)
+    for c in (1, 2, q - 1):
+        fac = factorize(F, (c,))
+        assert (fac.unit, fac.factors, fac.rebuild(F)) == (c, (), (c,))
 
 
 # The field-op route of the log-domain kernels' predecessors: every coefficient

@@ -19,7 +19,7 @@ ALLOWED = {("search", "is_mna_C"), ("weil", "factorize")}
 # top-level names that no module of the package reads, with what reads them
 UNREAD_ALLOWED = {
     ("assoc", "is_mna_C"): "method C at one pair: the tests and the benchmark",
-    ("charside", "s_class_member"): "one entry of slice_eval's masks: the tests",
+    ("charside", "s_class_member"): "the class rules at one pair's signs: the tests",
     ("gfpoly", "poly_eval"): "scalar Horner evaluation, the oracle of poly_eval_vec: the tests",
     ("quasigroup", "qmul"): "the scalar operation u * v, the oracle of qmul_vec: the tests",
     ("search", "sample_sigma_pair"): "one seeded pair of Sigma: the tests",
