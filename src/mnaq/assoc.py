@@ -16,14 +16,14 @@ Four mutually cross-checking methods:
            carries the class's signs exactly when chi(-1)chi(A)chi(B)s_i = s_j,
            chi(c_i B - A)chi(B)s_i = s_r and chi(B - (1 - c_j)A)chi(B)s_i = s_s:
            four characters per class and no inverse.  class_nonempty_vec applies
-           the rule with numpy to blocks of pairs and is_mna_C is its one-pair
-           view; the rare A = B = 0 falls back to a scan over v.
+           the rule with numpy to blocks of pairs and is_mna_C_vec is C's verdict
+           on them; where A = B = 0, the class codes along one u decide.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from typing import Iterable, NamedTuple, Sized
 
 import numpy as np
@@ -50,13 +50,7 @@ class ClassIndex(NamedTuple):
     s: int
 
 
-ALL_CLASSES = tuple(
-    ClassIndex(i, j, r, s)
-    for i in (0, 1)
-    for j in (0, 1)
-    for r in (0, 1)
-    for s in (0, 1)
-)
+ALL_CLASSES = tuple(map(ClassIndex._make, product((0, 1), repeat=4)))  # index 8i+4j+2r+s
 
 A_SCAN_LIMIT = 64  # is_mna_A guard
 A_COUNT_LIMIT = 27  # sigma_count(method="A") guard
@@ -95,23 +89,22 @@ def assoc_eq_grid(F: Field, pair: SigmaPair) -> np.ndarray:
     return assoc_eq_terms(F, psi_vec(F, pair, F.codes), F.codes[:, None], F.vneg(F.codes))[0]
 
 
-def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
-    """E(a, b) as a (q, q) int8 grid over (u, v): the class code 8i+4j+2r+s at each
-    nontrivial solution, -1 elsewhere."""
-    U = F.codes[:, None]
-    holds, neg_v, e_r, e_s = assoc_eq_terms(F, psi_vec(F, pair, F.codes), U, F.vneg(F.codes))
-    holds[0, 0] = False
+def class_codes(F: Field, pair: SigmaPair, U, W) -> np.ndarray:
+    """E(a, b) at (u, v) = (U, -W) for code arrays that broadcast together: the class
+    code 8i+4j+2r+s at each nontrivial solution, -1 elsewhere."""
+    holds, neg_v, e_r, e_s = assoc_eq_terms(F, psi_vec(F, pair, F.codes), U, W)
+    holds &= (U != 0) | (neg_v != 0)
     if (holds & ((U == 0) | (neg_v == 0) | (e_r == 0) | (e_s == 0))).any():
         raise VerificationFailure(
             f"a nontrivial solution at {pair} has a vanishing classifier value")
-    chi = F.chi_table
-    code = (
-        (chi[U] != 1).astype(np.int8) * 8
-        + (chi[neg_v] != 1).astype(np.int8) * 4
-        + (chi[e_r] != 1).astype(np.int8) * 2
-        + (chi[e_s] != 1).astype(np.int8)
-    )
+    code = sum((F.chi_table[t] != 1).astype(np.int8) << k
+               for k, t in zip((3, 2, 1, 0), (U, neg_v, e_r, e_s)))
     return np.where(holds, code, np.int8(-1))
+
+
+def class_code_grid(F: Field, pair: SigmaPair) -> np.ndarray:
+    """E(a, b) as a (q, q) int8 grid over (u, v): class_codes at every cell."""
+    return class_codes(F, pair, F.codes[:, None], F.vneg(F.codes))
 
 
 def count_associative_triples(F: Field, pair: SigmaPair, force: bool = False) -> int:
@@ -166,30 +159,18 @@ _C_POLYS, _C_INDEX = np.unique(np.reshape([
 
 
 def class_nonempty_degenerate(F: Field, pair: SigmaPair, cls: ClassIndex) -> bool:
-    """Is E_ij^rs(a, b) nonempty, for a class with A = B = 0?  Then every (u, v)
-    with the class's signs solves A u = B v, so scan v at the u in {1, zeta} with
-    chi(u) = s_i, and re-check the first witness on the equation."""
-    ci, cj = pair[cls.i], pair[cls.j]
+    """Is E_ij^rs(a, b) nonempty, for a class with A = B = 0?  (u, v) |-> (c^2 u, c^2 v)
+    keeps solutions and their signs, so read class_codes along the u in {1, zeta}
+    with chi(u) = s_i, over every v."""
     u = 1 if cls.i == 0 else least_nonsquare(F)
-    V = F.codes[1:]
-    s_j, s_r, s_s = 1 - 2 * np.array(cls[1:])
-    chi = F.chi_table
-    ok = ((chi[F.vneg(V)] == s_j) & (chi[F.vsub(F.mul(ci, u), V)] == s_r)
-          & (chi[F.vsub(u, F.vmul(F.sub(1, cj), V))] == s_s))
-    if not ok.any():
-        return False
-    v = int(V[ok.argmax()])
-    if not assoc_eq_holds(F, pair, u, v):
-        raise VerificationFailure(
-            f"class {tuple(cls)} witness ({u}, {v}) fails the equation at {pair}")
-    return True
+    return bool((class_codes(F, pair, u, F.codes) == ALL_CLASSES.index(cls)).any())
 
 
 def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(16, len(a)) bool: row 8i+4j+2r+s says whether E_ij^rs(a, b) is nonempty at
     the pairs (a, b) of Sigma, by the four-character rule, each polynomial a signed
     sum of monomial columns of Field.log_digits.  Exactly one of A, B zero forces
-    u = 0 or v = 0 and a zero character; where A = B = 0 the scan decides."""
+    u = 0 or v = 0 and a zero character; class_nonempty_degenerate decides A = B = 0."""
     digits, zero, _ = F.log_digits
     log = F.logs[0]
     mono = digits.take(_MONOS[:, :1] * log[a] + _MONOS[:, 1:] * log[b])
@@ -204,11 +185,16 @@ def class_nonempty_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return holds
 
 
+def is_mna_C_vec(F: Field, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Method C's verdict on the pairs (a, b) of Sigma: no class E_ij^rs is nonempty."""
+    return ~class_nonempty_vec(F, a, b).any(axis=0)
+
+
 def is_mna_C(F: Field, pair: SigmaPair) -> bool:
-    """Method C at one pair of Sigma: the one-column view of class_nonempty_vec."""
+    """Method C at one pair of Sigma: the one-pair view of is_mna_C_vec."""
     if not is_sigma_pair(F, *pair):
         raise NotInSigma(f"{tuple(pair)} is not in Sigma(F_{F.q})")
-    return not class_nonempty_vec(F, *np.array([pair]).T).any()
+    return bool(is_mna_C_vec(F, *np.array([pair]).T)[0])
 
 
 # ----------------------------------------------------------------------
@@ -217,14 +203,19 @@ def is_mna_C(F: Field, pair: SigmaPair) -> bool:
 
 PAIR_BLOCK = 2048  # pairs per block of sigma_count (about a quarter of its a-rows' cells)
 
-# method -> (size guard of sigma_count, None for none; one-pair decision (F, pair)).
-# C decides whole blocks by class_nonempty_vec instead.  A_COUNT_LIMIT <= A_SCAN_LIMIT,
-# so a count that passed its guard (or was forced past it) needs no per-pair guard.
+
+def _pair_by_pair(decide):
+    """A decision on a block (F, a, b) from a decision on one pair (F, pair)."""
+    return lambda F, a, b: [decide(F, SigmaPair(*p)) for p in zip(a.tolist(), b.tolist())]
+
+
+# method -> (size guard of sigma_count, None for none; decision on a block (F, a, b)).
+# A_COUNT_LIMIT <= A_SCAN_LIMIT, so a count within its guard, or forced, needs no other.
 _METHODS = {
-    "A": (A_COUNT_LIMIT, partial(is_mna_A, force=True)),
-    "B": (B_COUNT_LIMIT, is_mna_B),
-    "Bscaled": (BSCALED_COUNT_LIMIT, is_mna_Bscaled),
-    "C": (None, None),
+    "A": (A_COUNT_LIMIT, _pair_by_pair(partial(is_mna_A, force=True))),
+    "B": (B_COUNT_LIMIT, _pair_by_pair(is_mna_B)),
+    "Bscaled": (BSCALED_COUNT_LIMIT, _pair_by_pair(is_mna_Bscaled)),
+    "C": (None, is_mna_C_vec),
 }
 
 
@@ -233,10 +224,7 @@ def _count_chunk(F: Field, method: str, rows: bool, items: np.ndarray) -> int:
     step = max(1, 4 * PAIR_BLOCK // F.q) if rows else PAIR_BLOCK
     blocks = (sigma_rows(F, items[s:s + step]) if rows else items[s:s + step].T
               for s in range(0, len(items), step))
-    if method == "C":
-        return sum(int((~class_nonempty_vec(F, a, b).any(axis=0)).sum()) for a, b in blocks)
-    decide = _METHODS[method][1]
-    return sum(decide(F, SigmaPair(*p)) for a, b in blocks for p in zip(a.tolist(), b.tolist()))
+    return sum(int(np.count_nonzero(_METHODS[method][1](F, a, b))) for a, b in blocks)
 
 
 def sigma_count(

@@ -159,7 +159,7 @@ def pair_signs(F: Field, x, y) -> dict[str, np.ndarray]:
 def slice_eval(F: Field, c: int) -> SliceEval:
     """Evaluate every class rule on the slice y = c at the squares outside {0, 1, c};
     c a nonzero square."""
-    if F.chi_table[c] != 1:
+    if not 0 < c < F.q or F.chi_table[c] != 1:
         raise ValueError("slice_eval takes a nonzero square c")
     xs = square_codes(F)
     X = xs[xs != c]

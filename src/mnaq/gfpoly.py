@@ -169,10 +169,10 @@ def _pth_root(F: Field, a: Poly) -> Poly:
 
 def squarefree_decomposition(F: Field, f: Poly) -> list[tuple[Poly, int]]:
     """Monic square-free parts with multiplicities, pairwise coprime; product
-    rebuilds f (monic), so a nonzero constant has none; zero raises ZeroPolynomial."""
+    rebuilds monic(f), so a nonzero constant has none; zero raises ZeroPolynomial."""
     if not f:
         raise ZeroPolynomial("the zero polynomial has no square-free decomposition")
-    out: list[tuple[Poly, int]] = []
+    f, out = monic(F, f), []
     g = poly_gcd(F, f, poly_derivative(F, f))  # f itself, monic, when f' = 0
     w = poly_div(F, f, g)
     i = 1
@@ -254,7 +254,7 @@ def factorize(F: Field, p: Poly) -> Factorization:
         raise ZeroPolynomial("cannot factor the zero polynomial")
     rng = SplitMix64(FACTOR_SEED)
     counts: dict[Poly, int] = {}
-    for part, mult in squarefree_decomposition(F, monic(F, p)):
+    for part, mult in squarefree_decomposition(F, p):
         for prod, d in _distinct_degree(F, part):
             for irr in _equal_degree(F, prod, d, rng):
                 counts[irr] = counts.get(irr, 0) + mult

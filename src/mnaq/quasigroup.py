@@ -43,9 +43,8 @@ def is_sigma_pair(F: Field, a: int, b: int) -> bool:
 
 
 def is_s_pair(F: Field, x: int, y: int) -> bool:
-    if x in (0, 1) or y in (0, 1) or x == y:
-        return False
-    return F.chi(x) == 1 and F.chi(y) == 1
+    """Membership of (x, y) in S; no code outside [0, q) counts, as in sigma_mask."""
+    return 1 < x < F.q and 1 < y < F.q and x != y and F.chi(x) == 1 and F.chi(y) == 1
 
 
 def psi(F: Field, pair: SigmaPair, u: int) -> int:
@@ -180,21 +179,21 @@ def multiplier_is_isomorphism(
     return witness is None, witness
 
 
-def opposite_and_iso_checks(F: Field, pair: SigmaPair) -> OppositeIsoReport:
-    """Verify u |-> u*zeta : Q_{a,b} ~ Q_{b,a}, and the opposite-quasigroup identity.
+def opposite_pair(F: Field, pair: SigmaPair) -> SigmaPair:
+    """The pair whose quasigroup is the opposite of Q_{a,b}: (1-a, 1-b) when
+    q = 1 mod 4 and (1-b, 1-a) when q = 3 mod 4."""
+    a, b = pair if F.q % 4 == 1 else pair[::-1]
+    return SigmaPair(F.sub(1, a), F.sub(1, b))
 
-    The opposite of Q_{a,b} equals Q_{1-a,1-b} when q = 1 mod 4 and
-    Q_{1-b,1-a} when q = 3 mod 4, checked elementwise.
-    """
+
+def opposite_and_iso_checks(F: Field, pair: SigmaPair) -> OppositeIsoReport:
+    """Verify u |-> u*zeta : Q_{a,b} ~ Q_{b,a}, and Q_{a,b}^op = Q_opposite_pair,
+    checked elementwise."""
     a, b = pair
     zeta = least_nonsquare(F)
     iso_ok, iso_wit = multiplier_is_isomorphism(F, pair, SigmaPair(b, a), zeta)
-
-    if F.q % 4 == 1:
-        opp_params = SigmaPair(F.sub(1, a), F.sub(1, b))
-    else:
-        opp_params = SigmaPair(F.sub(1, b), F.sub(1, a))
+    opp = opposite_pair(F, pair)
     # entry (u, v) of Q^op is v * u in Q_{a,b}
     opp_wit = _first_mismatch(F.q, lambda U, V: qmul_vec(F, pair, V, U),
-                              lambda U, V: qmul_vec(F, opp_params, U, V))
+                              lambda U, V: qmul_vec(F, opp, U, V))
     return OppositeIsoReport(iso_ok, opp_wit is None, iso_wit, opp_wit)

@@ -34,8 +34,8 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection (unbiased)."""
-        if n <= 0:
-            raise ValueError("below() needs n >= 1")
+        if not 1 <= n <= 1 << 64:
+            raise ValueError("below() needs n >= 1 and n <= 2^64")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             x = self.next_u64()
@@ -45,15 +45,17 @@ class SplitMix64:
     def below_block(self, n: int, m: int) -> np.ndarray:
         """The next n values of below(m) as int64 (uint64 when m > 2^63), leaving the
         state where n calls of below(m) would: the k-th draw is _mix(state + k*gamma)."""
-        if m <= 0:
-            raise ValueError("below_block() needs m >= 1")
+        if not 1 <= m <= 1 << 64:
+            raise ValueError("below_block() needs m >= 1 and m <= 2^64")
         top = _MASK - (1 << 64) % m  # the largest draw below() keeps
         out = np.empty(0, dtype=np.uint64)
         while out.size < n:
             z = _mix(np.arange(1, n - out.size + 1, dtype=np.uint64) * _GAMMA + self.state)
             self.state = (self.state + z.size * _GAMMA) & _MASK
             out = np.concatenate([out, z[z <= top]])
-        return out % m if m > 1 << 63 else (out % m).astype(np.int64)
+        if m > 1 << 63:
+            return out % m if m < 1 << 64 else out  # x % 2^64 is x
+        return (out % m).astype(np.int64)
 
     def choice_sign(self) -> int:
         """Uniform value from {-1, +1}."""

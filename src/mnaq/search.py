@@ -16,7 +16,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .assoc import PAIR_BLOCK, class_nonempty_vec, is_mna_Bscaled, sigma_count
+from .assoc import PAIR_BLOCK, is_mna_Bscaled, is_mna_C_vec, sigma_count
 from .assoc import is_mna_C  # noqa: F401  (unused; perfbench's traced pass wraps it by name)
 from .errors import SearchExhausted, VerificationFailure
 from .field import Field
@@ -79,7 +79,7 @@ def search_mna(
             if attempts >= max_attempts:
                 break
             a, b = a[:max_attempts - attempts], b[:max_attempts - attempts]
-            mna = np.flatnonzero(~class_nonempty_vec(F, a, b).any(axis=0))
+            mna = np.flatnonzero(is_mna_C_vec(F, a, b))
             attempts += int(mna[0]) + 1 if mna.size else a.size
             if mna.size:
                 pair = SigmaPair(int(a[mna[0]]), int(b[mna[0]]))

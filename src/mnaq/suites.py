@@ -40,6 +40,7 @@ from .quasigroup import (
     least_nonsquare,
     multiplier_is_isomorphism,
     opposite_and_iso_checks,
+    opposite_pair,
     phi_map,
     psi,
     psi_map,
@@ -131,7 +132,6 @@ def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
         zeta = least_nonsquare(F)
         grids = {pair: class_code_grid(F, pair) for pair in sigma}
         zmap = np.asarray(F.vmul(zeta, F.codes))
-        minus_one_is_square = F.q % 4 == 1
         ok_scaling = ok_opposite = ok_sigma_level = True
         for pair in sigma:
             a, b = pair
@@ -139,11 +139,8 @@ def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
             swapped = grids[SigmaPair(b, a)]
             ok_scaling &= (swapped[np.ix_(zmap, zmap)] == COMPLEMENT[g]).all()
             g_comp = grids[SigmaPair(F.sub(1, a), F.sub(1, b))]
-            if minus_one_is_square:
-                ok_opposite &= (g_comp.T == SWAP[g]).all()
-            else:
-                other = grids[SigmaPair(F.sub(1, b), F.sub(1, a))]
-                ok_opposite &= (other.T == COMPLEMENT[SWAP[g]]).all()
+            want = SWAP[g] if F.q % 4 == 1 else COMPLEMENT[SWAP[g]]
+            ok_opposite &= (grids[opposite_pair(F, pair)].T == want).all()
             # every grid holds -1 at (0, 0), so the unique codes compare as sets with -1
             present = np.unique(g)
             ok_sigma_level &= (np.array_equal(np.unique(g_comp), np.unique(SWAP[present]))

@@ -41,8 +41,8 @@ import numpy as np
 from .errors import VerificationFailure, ZeroPolynomial
 from .field import Field
 # factorize: no function here calls it; perfbench's traced pass wraps weil.factorize
-from .gfpoly import (Poly, degree, factorize, monic, normalize, poly_div, poly_eval_vec,
-                     poly_gcd, squarefree_decomposition)
+from .gfpoly import (Poly, degree, factorize, normalize, poly_div, poly_eval_vec, poly_gcd,
+                     squarefree_decomposition)
 from .pool import chunked_map
 from .rng import SplitMix64
 
@@ -116,8 +116,7 @@ def is_squarefree_list(F: Field, polys: list[Poly]) -> SquarefreeResult:
     for idx, p in enumerate(map(normalize, polys)):
         if not p:
             raise ZeroPolynomial(f"list entry {idx} is the zero polynomial")
-        parts += [(h, 1 << idx) for h, mult in squarefree_decomposition(F, monic(F, p))
-                  if mult % 2]
+        parts += [(h, 1 << idx) for h, mult in squarefree_decomposition(F, p) if mult % 2]
     base = _coprime_base(F, parts)
     bits = [sum(1 << i for i, (_, mask) in enumerate(base) if mask >> idx & 1)
             for idx in range(len(polys))]

@@ -13,6 +13,7 @@ from mnaq.assoc import (
     assoc_eq_holds,
     assoc_eq_terms,
     class_code_grid,
+    class_codes,
     class_nonempty_vec,
     count_associative_triples,
     assoc_eq_grid,
@@ -22,9 +23,12 @@ from mnaq.assoc import (
     is_mna_C,
     sigma_count,
 )
-from mnaq.charside import sigma_count_D
-from mnaq.errors import NotInSigma, TooLarge, VerificationFailure
-from mnaq.quasigroup import SigmaPair, enumerate_sigma, is_sigma_pair, psi, psi_vec, qmul
+from mnaq.charside import s_class_member, sigma_count_D, slice_eval
+from mnaq.errors import NotInS, NotInSigma, TooLarge, VerificationFailure
+from mnaq.field import odd_prime_powers
+from mnaq.quasigroup import (SPair, SigmaPair, enumerate_sigma, is_s_pair, is_sigma_pair,
+                             least_nonsquare, phi_map, psi, psi_vec, qmul, sigma_rows,
+                             square_codes)
 from mnaq.rng import SplitMix64
 from mnaq.search import sigma_blocks
 
@@ -241,6 +245,23 @@ def test_codes_outside_the_field_are_in_no_sigma_pair():
             is_mna_C(F, SigmaPair(*pair))
 
 
+@pytest.mark.parametrize("q", [13, 27])
+@pytest.mark.parametrize("code", [-1, -3, "q", 2**70])
+def test_codes_outside_the_field_are_in_no_s_pair(q, code):
+    # -3 must not wrap to q - 3, and q must not raise IndexError, on the S side too
+    F = field(q)
+    code = q if code == "q" else code
+    y = int(square_codes(F)[0])
+    for sp in (SPair(code, y), SPair(y, code)):
+        assert not is_s_pair(F, *sp)
+        with pytest.raises(NotInS):
+            phi_map(F, sp)
+        with pytest.raises(NotInS):
+            s_class_member(F, sp, ALL_CLASSES[0])
+    with pytest.raises(ValueError, match="nonzero square"):
+        slice_eval(F, code)
+
+
 def test_codes_beyond_int64_raise_not_in_sigma():
     # such a code cannot be read into an int64 array: it is still just outside Sigma,
     # and the first pair outside Sigma is named, wherever the large code sits
@@ -298,13 +319,61 @@ def test_sigma_count_C_runs_degenerate_fallback(monkeypatch, q, fallbacks):
     assert len(calls) == fallbacks
 
 
-def test_degenerate_fallback_rechecks_its_witness(monkeypatch):
-    # at q = 25, class (0,1,0,1) of (2, 4) has A = B = 0 and a witness
+def test_degenerate_fallback_raises_on_a_vanishing_term(monkeypatch):
+    # at q = 25, class (0,1,0,1) of (2, 4) has A = B = 0 and is nonempty; a solution
+    # in its row u = 1 with -v = 0 must be refused by class_codes, not read as a code
     F, pair, cls = field(25), SigmaPair(2, 4), ClassIndex(0, 1, 0, 1)
     assert assoc.class_nonempty_degenerate(F, pair, cls)
-    monkeypatch.setattr(assoc, "assoc_eq_holds", lambda *args: False)
-    with pytest.raises(VerificationFailure):
+    real = assoc.assoc_eq_terms
+
+    def solves_at_v_zero(*args):
+        holds, neg_v, *terms = real(*args)
+        return (holds | (neg_v == 0), neg_v, *terms)
+
+    monkeypatch.setattr(assoc, "assoc_eq_terms", solves_at_v_zero)
+    with pytest.raises(VerificationFailure, match="vanishing classifier value"):
         assoc.class_nonempty_degenerate(F, pair, cls)
+
+
+def scanned_degenerate_class(F, pair, cls):
+    """The hand-derived oracle for a class with A = B = 0: at the u in {1, zeta} with
+    chi(u) = s_i, some v != 0 has chi(-v) = s_j, chi(c_i u - v) = s_r and
+    chi(u - (1 - c_j) v) = s_s."""
+    ci, cj = pair[cls.i], pair[cls.j]
+    u = 1 if cls.i == 0 else least_nonsquare(F)
+    V = F.codes[1:]
+    s_j, s_r, s_s = 1 - 2 * np.array(cls[1:])
+    chi = F.chi_table
+    return bool(((chi[F.vneg(V)] == s_j) & (chi[F.vsub(F.mul(ci, u), V)] == s_r)
+                 & (chi[F.vsub(u, F.vmul(F.sub(1, cj), V))] == s_s)).any())
+
+
+def test_degenerate_fallback_matches_the_hand_derived_scan():
+    # every A = B = 0 cell (pair, class) of every field below 400
+    cells = []
+    for q in odd_prime_powers(5, 400):
+        F = field(q)
+        a, b = sigma_rows(F, np.arange(2, q))
+        for cls in ALL_CLASSES:
+            A, B = linear_coeffs(F, a, b, cls)
+            cells += [(q, SigmaPair(int(a[k]), int(b[k])), cls)
+                      for k in np.flatnonzero((A == 0) & (B == 0))]
+    assert (len(cells), len({q for q, *_ in cells})) == (86, 32)
+    for q, pair, cls in cells:
+        F = field(q)
+        assert (assoc.class_nonempty_degenerate(F, pair, cls)
+                == scanned_degenerate_class(F, pair, cls)), (q, pair, cls)
+
+
+@pytest.mark.parametrize("q", [13, 25, 27])
+def test_class_codes_along_a_row_match_the_grid(q):
+    F = field(q)
+    W = F.vneg(F.codes)
+    for pair in enumerate_sigma(F):
+        grid = class_code_grid(F, pair)
+        assert grid.dtype == np.int8
+        for u in range(q):
+            assert class_codes(F, pair, u, W).tolist() == grid[u].tolist(), (pair, u)
 
 
 @pytest.mark.parametrize("q", [251, 243])

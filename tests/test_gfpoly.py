@@ -150,6 +150,32 @@ def test_squarefree_decomposition_of_zero_raises(q):
         squarefree_decomposition(field(q), ())
 
 
+def test_squarefree_decomposition_of_nonmonic_inputs_over_f7():
+    # the parts are monic whatever f's leading coefficient, with f' nonzero (3x, 3x^2 + 1,
+    # 3x^2) or zero (3x^7 + 3 = 3(x + 1)^7)
+    F = field(7)
+    for f, parts in (((0, 3), [((0, 1), 1)]), ((1, 0, 3), [((5, 0, 1), 1)]),
+                     ((0, 0, 3), [((0, 1), 2)]), ((3, 0, 0, 0, 0, 0, 0, 3), [((1, 1), 7)])):
+        assert squarefree_decomposition(F, f) == parts
+
+
+@pytest.mark.parametrize("q", [7, 27])
+def test_squarefree_parts_of_a_nonmonic_input_are_those_of_its_monic_form(q):
+    F = field(q)
+    rng = SplitMix64(0x5F ^ q)
+    for _ in range(200):
+        g = normalize([rng.below(q) for _ in range(5)] + [1])
+        f = poly_mul(F, (2 + rng.below(q - 2),), poly_mul(F, g, poly_mul(F, g, (0, 1))))
+        parts = squarefree_decomposition(F, f)
+        assert parts == squarefree_decomposition(F, monic(F, f))
+        assert all(h[-1] == 1 for h, _ in parts)
+        rebuilt = ONE
+        for h, m in parts:
+            for _ in range(m):
+                rebuilt = poly_mul(F, rebuilt, h)
+        assert rebuilt == monic(F, f)
+
+
 @pytest.mark.parametrize("q", [13, 27, 49])
 def test_factor_roundtrip_random(q):
     F = field(q)

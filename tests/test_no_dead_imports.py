@@ -18,6 +18,7 @@ ALLOWED = {("search", "is_mna_C"), ("weil", "factorize")}
 
 # top-level names that no module of the package reads, with what reads them
 UNREAD_ALLOWED = {
+    ("assoc", "assoc_eq_holds"): "the equation at one (u, v), assoc_eq_terms' oracle: the tests",
     ("assoc", "is_mna_C"): "method C at one pair: the tests and the benchmark",
     ("charside", "s_class_member"): "the class rules at one pair's signs: the tests",
     ("gfpoly", "poly_eval"): "scalar Horner evaluation, the oracle of poly_eval_vec: the tests",

@@ -75,8 +75,8 @@ def test_search_confirmation_rejects_a_pair_method_c_wrongly_accepts(monkeypatch
                 if not is_mna_B(F, sample_sigma_pair(F, SplitMix64(s), 10_000)))
     pair = sample_sigma_pair(F, SplitMix64(seed), 10_000)
     # method C wrongly accepts every pair of every block
-    monkeypatch.setattr(mnaq.search, "class_nonempty_vec",
-                        lambda F, a, b: np.zeros((16, len(a)), dtype=bool))
+    monkeypatch.setattr(mnaq.search, "is_mna_C_vec",
+                        lambda F, a, b: np.ones(len(a), dtype=bool))
     with pytest.raises(VerificationFailure, match=re.escape(str(pair))):
         search_mna(F, seed=seed)
 
@@ -149,7 +149,7 @@ def test_sigma_blocks_exhaust_where_the_scalar_loop_does():
 
 
 @pytest.mark.parametrize("m", [1, 3, 10007, 1 << 32, 1 << 63, (1 << 63) + 1,
-                               (1 << 63) + (1 << 62), (1 << 64) - 1])
+                               (1 << 63) + (1 << 62), (1 << 64) - 1, 1 << 64])
 def test_below_block_matches_below(m):
     # above 2^63 nearly half of all u64 values are rejected
     for seed in (0, 11, (1 << 64) - 1):
@@ -159,6 +159,17 @@ def test_below_block_matches_below(m):
             assert block.state == scalar.state
     with pytest.raises(ValueError):
         SplitMix64(0).below_block(4, 0)
+
+
+@pytest.mark.parametrize("m", [0, -1, (1 << 64) + 1, 1 << 70])
+def test_bounds_outside_1_to_2_64_are_refused(m):
+    # above 2^64, below() would keep no draw and below_block() none either
+    rng = SplitMix64(5)
+    with pytest.raises(ValueError, match=re.escape("needs n >= 1 and n <= 2^64")):
+        rng.below(m)
+    with pytest.raises(ValueError, match=re.escape("needs m >= 1 and m <= 2^64")):
+        rng.below_block(4, m)
+    assert rng.state == SplitMix64(5).state
 
 
 # (a, b, attempts) of search_mna(F, seed) for seeds 0-4, when each attempt was
@@ -206,7 +217,7 @@ def test_search_without_attempts_decides_no_pair(monkeypatch, max_attempts):
     import mnaq.search
 
     decided = []
-    monkeypatch.setattr(mnaq.search, "class_nonempty_vec",
+    monkeypatch.setattr(mnaq.search, "is_mna_C_vec",
                         lambda F, a, b: decided.append(len(a)))
     with pytest.raises(SearchExhausted, match="in 0 attempts at q=13"):
         search_mna(field(13), seed=1, max_attempts=max_attempts)
