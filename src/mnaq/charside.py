@@ -16,7 +16,9 @@ T is closed under the swap (x, y) -> (y, x), the inversion (x, y) -> (1/x, 1/y) 
 On a line x = λy each sign is a window of chi(1 + g^e): an entry's monomials
 x^i y^j take at most two total degrees, so it is y^d (A(λ) y + B(λ)), and on a
 square y its chi is chi(B) chi(1 + (A/B) y) (LINE_COEFFS).  D reads it from a parity
-row of _sign_tile packed as Planes, 64 y a word; pair_signs reads it pair by pair.
+row of _sign_tile packed as one bit plane (Signs: set where the sign is -1), 64 y a
+word; pair_signs reads it pair by pair.  A sign is 0 only where A y + B = 0, at most
+one y per sign and line, so D counts those few pairs apart, from the int8 tile.
 
 Pairs violating the regularity condition
   [y+1-x != 0 or x^2-x-1 != 0] and [x+1-y != 0 or y^2-y-1 != 0]
@@ -44,10 +46,11 @@ from .pool import chunked_map
 from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair, square_codes
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
 
-# words (lines x nw) of one plane per sign in a block of sigma_count_D; larger blocks ran
-# faster (1536: about 1.2x at 10009) but held more bytes than the int8 kernel's blocks
-BLOCK_WORDS = 1280
+# words (lines x nw) per sign in a block of sigma_count_D; of 1280, 1920, 2560 and 3840,
+# 2560 ran D at 10007 and 10009 fastest (1.2x 1280) for 0.4% more peak RSS than 1280
+BLOCK_WORDS = 2560
 LINE_ROWS = 1 << 8  # lines per evaluation of their polynomials in _line_signs
+ZERO_LINES = 1 << 9  # lines (rounded to whole blocks) per piece of _d_chunk's zero signs
 # the signs the class rules read: chi of each SLICE_POLYS entry but the first
 # (chi(x) = 1 on squares), and chi(1 - y)
 CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
@@ -168,36 +171,35 @@ def slice_eval(F: Field, c: int) -> SliceEval:
     return SliceEval(xs=X, classes=m, t_mask=~m.any(axis=0), chars=chars)
 
 
-class Planes(NamedTuple):
-    """Signs as bit planes pos (== 1) and neg (== -1), with the sign operations of
-    class_masks; a comparison gives the words of its mask."""
-    pos: np.ndarray
+class Signs(NamedTuple):
+    """Nonzero signs as one bit plane neg (set where the sign is -1), with the sign
+    operations of class_masks; a comparison gives the words of its mask."""
     neg: np.ndarray
-    shape = property(lambda self: self.pos.shape)
+    shape = property(lambda self: self.neg.shape)
 
-    def __neg__(self) -> Planes:
-        return Planes(self.neg, self.pos)
+    def __neg__(self) -> Signs:
+        return Signs(~self.neg)
 
-    def __mul__(self, other: Planes) -> Planes:
-        p, n, q, m = *self, *other
-        return Planes(p & q | n & m, p & m | n & q)
+    def __mul__(self, other: Signs) -> Signs:
+        return Signs(self.neg ^ other.neg)
 
     def __eq__(self, other) -> np.ndarray:
-        if isinstance(other, Planes):  # both 1, both -1 or both 0
-            p, n, q, m = *self, *other
-            return ~(p ^ q | n ^ m)  # a sign never sets both of its planes
-        return ~(self.pos | self.neg) if other == 0 else self[(1, -1).index(other)]
+        if isinstance(other, Signs):
+            return ~(self.neg ^ other.neg)
+        if other == 0:
+            return np.zeros_like(self.neg)
+        return self.neg if (1, -1).index(other) else ~self.neg
 
     def __ne__(self, other) -> np.ndarray:
         return ~(self == other)
 
 
-def class_masks(mod4: int, chars: dict[str, np.ndarray | Planes]) -> np.ndarray:
+def class_masks(mod4: int, chars: dict[str, np.ndarray | Signs]) -> np.ndarray:
     """The sixteen class masks, shape (16, ...): row 8i+4j+2r+s marks S_ij^rs.
 
     chars maps CHAR_NAMES to int8 sign arrays that broadcast together (bool masks) or
-    to Planes (uint64 masks), at pairs of squares (x, y) of a field of order q = mod4
-    mod 4; nothing else is read."""
+    to Signs (uint64 masks; no sign is 0 there), at pairs of squares (x, y) of a field
+    of order q = mod4 mod 4; nothing else is read."""
     (xm1, eps, xm1my, xp1my, xmxymy, xpxymy, g1, g2, g3, g4, f1, f2, f3, f4, c1y) = (
         chars[k] for k in CHAR_NAMES)
     # the mirrored forms differ from the listed ones by chi(-1):
@@ -206,7 +208,7 @@ def class_masks(mod4: int, chars: dict[str, np.ndarray | Planes]) -> np.ndarray:
                                          for v in (xm1, xm1my, xp1my, xmxymy, xpxymy))
 
     m = np.zeros((16, *np.broadcast_shapes(*(v.shape for v in chars.values()))),
-                 dtype=(eps == 1).dtype)  # bool on int8 signs, words on Planes
+                 dtype=(eps == 1).dtype)  # bool on int8 signs, words on Signs
     if mod4 == 1:
         # the six (i, j) mixed classes not set here are empty
         m[0] = m[15] = (c1x == eps) & (c1y == eps)
@@ -259,7 +261,21 @@ def orbit_lines(F: Field) -> np.ndarray:
     return read_only(np.column_stack([np.flatnonzero(n), n[n > 0]]))[0]
 
 
-def _d_chunk(F: Field, copies: np.ndarray, lines: np.ndarray) -> int:
+def _zero_columns(F: Field, off: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(line, k), sorted by line, of each column k < width at which some sign
+    _sign_tile(F)[off[:, line] + 2k] is 0.  C[e] = chi(1 + g^e) is 0 only at e = M mod N,
+    so an off below 4N reads a 0 at k = ((M - off) mod N) / 2 at most, and an off in the
+    run of zeros reads 0 at every column of its line."""
+    N, M = F.q - 1, (F.q - 1) // 2
+    k = (M - off) % N
+    i = np.flatnonzero((k < 2 * width) & (k % 2 == 0) & (off < 4 * N))  # sign * lines + line
+    whole = np.flatnonzero(((off >= 4 * N) & (off <= 4 * N + F.q)).any(axis=0))
+    codes = np.sort(np.concatenate([i % off.shape[1] * width + k.ravel()[i] // 2,
+                                    (whole[:, None] * width + np.arange(width)).ravel()]))
+    return np.divmod(codes[np.diff(codes, prepend=-1) > 0], width)  # np.unique hashes, slower
+
+
+def _d_chunk(F: Field, tile: np.ndarray, copies: np.ndarray, lines: np.ndarray) -> int:
     M, width = (F.q - 1) // 2, (F.q + 3) // 4  # width: the y a line scans, (q - 1)//4 + 1
     m, n = lines.T
     # y = g^(2k) for k in [start, start + width); k -> r - k (the swap after the inversion)
@@ -270,23 +286,37 @@ def _d_chunk(F: Field, copies: np.ndarray, lines: np.ndarray) -> int:
     cut = np.column_stack([1 - r % 2, r % 2 + 1 - M % 2])
     off = _line_signs(F, 2 * m) + (2 * start).astype(np.int32)
     # the signs at off are tile[off::2][:width], the first width bits of a window of nw
-    # words of one parity row; valid clears the bits past width, x1_bit the x = 1 bit
+    # words of one parity row; valid clears the bits past width
     nw = -(-width // 64)
     windows = sliding_window_view(copies, 8 * nw, axis=-1)
     valid = np.full(nw, ~np.uint64(0))
     valid[-1] >>= 64 * nw - width
-    x1_word, x1_bit = np.divmod(r - start, 64)
     rows = max(1, BLOCK_WORDS // nw)
+    piece = rows * max(1, ZERO_LINES // rows)
     total = 0
-    for s in range(0, len(lines), rows):
-        b = slice(s, s + rows)
-        half, odd = np.divmod(off[:, b], 2)
-        planes = map(Planes, *(windows[k, odd, half & 7, half >> 3].view("<u8") for k in (0, 1)))
-        t = ~np.bitwise_or.reduce(class_masks(F.q % 4, dict(zip(CHAR_NAMES, planes)))) & valid
-        t[np.arange(t.shape[0]), x1_word[b]] &= ~(np.uint64(1) << x1_bit[b].astype(np.uint64))
-        edge = (t[:, [0, -1]] >> np.uint64([0, (width - 1) % 64]) & 1).astype(np.int64)
-        count = 2 * np.bitwise_count(t).sum(axis=1, dtype=np.int64) - (edge * cut[b]).sum(axis=1)
-        total += int(n[b] @ count)
+    for p in range(0, len(lines), piece):
+        # the few pairs with a 0 among their signs, x = 1 among them (chi(x - 1) = 0), leave
+        # the word path: they are counted here from the int8 signs, a piece of whole blocks
+        # at a time so that the index arrays stay small, and their bits cleared from T
+        l, k = _zero_columns(F, off[:, p:p + piece], width)
+        l += p
+        at = off[:, l]
+        at += 2 * k.astype(np.int32)
+        in_t = ~class_masks(F.q % 4, dict(zip(CHAR_NAMES, tile[at]))).any(axis=0)
+        weight = n[l] * (2 - cut[l, 0] * (k == 0) - cut[l, 1] * (k == width - 1))
+        total += int(weight @ (in_t & (k != r[l] - start[l])))  # x = 1 is not in T
+        ends = np.searchsorted(l, np.arange(p, p + piece + rows, rows))
+        zero_bits = ~(np.uint64(1) << (k & 63).astype(np.uint64))
+        for i, s in enumerate(range(p, min(p + piece, len(lines)), rows)):
+            b, z = slice(s, s + rows), slice(ends[i], ends[i + 1])
+            half, odd = np.divmod(off[:, b], 2)
+            signs = map(Signs, windows[odd, half & 7, half >> 3].view("<u8"))
+            t = ~np.bitwise_or.reduce(class_masks(F.q % 4, dict(zip(CHAR_NAMES, signs)))) & valid
+            np.bitwise_and.at(t, (l[z] - s, k[z] >> 6), zero_bits[z])
+            edge = (t[:, [0, -1]] >> np.uint64([0, (width - 1) % 64]) & 1).astype(np.int64)
+            count = (2 * np.bitwise_count(t).sum(axis=1, dtype=np.int64)
+                     - (edge * cut[b]).sum(axis=1))
+            total += int(n[b] @ count)
     return total
 
 
@@ -298,16 +328,17 @@ def sigma_count_D(F: Field, jobs: int = 1) -> int:
     1/λ, 1/λ and λ^p, so a line weighs the n of its orbit; the first two together keep
     the line and send y to 1/x, so a line scans half its y, each twice, a fixed y once.
 
-    _sign_tile's parity rows are packed here, once, for forked workers to inherit: the
-    planes == 1 and == -1 in 8 copies, bit j of copy s holding sign j + s (14q bytes),
-    so nw '<u8' words at [plane, parity, h % 8, h // 8] hold signs h, h + 1, ..."""
-    rows = _sign_tile(F).reshape(-1, 2).T
-    planes = np.zeros((2, 2, 8 * (rows.shape[1] // 8 + 10)), dtype=bool)  # a window may
-    planes[..., :rows.shape[1]] = rows == 1, rows == -1  # reach 63 signs past its row
-    packed = np.packbits(planes, axis=-1, bitorder="little")[:, :, None]
+    _sign_tile's parity rows are packed here, once, for forked workers to inherit with the
+    tile: the plane == -1 in 8 copies, bit j of copy s holding sign j + s (7q bytes), so
+    nw '<u8' words at [parity, h % 8, h // 8] hold signs h, h + 1, ..."""
+    tile = _sign_tile(F)
+    rows = tile.reshape(-1, 2).T
+    neg = np.zeros((2, 8 * (rows.shape[1] // 8 + 10)), dtype=bool)  # a window may
+    neg[:, :rows.shape[1]] = rows == -1  # reach 63 signs past its row
+    packed = np.packbits(neg, axis=-1, bitorder="little")[:, None]
     s = np.arange(8, dtype=np.uint8)[:, None]
     copies = (packed[..., :-1] >> s) | (packed[..., 1:] << (8 - s))
-    return sum(chunked_map(_d_chunk, (F, copies), orbit_lines(F), jobs))
+    return sum(chunked_map(_d_chunk, (F, tile, copies), orbit_lines(F), jobs))
 
 
 def slice_params(F: Field) -> list[int]:

@@ -1,3 +1,4 @@
+import tracemalloc
 import zlib
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from mnaq import assoc, charside
 from mnaq.assoc import ALL_CLASSES, class_code_grid
 from mnaq.charside import (
     CHAR_NAMES,
-    Planes,
+    Signs,
     class_masks,
     is_regular_pair,
     exceptional_pairs,
@@ -188,7 +189,8 @@ def test_sigma_d_matches_method_c(q, sigma_small):
 def test_sigma_d_matches_full_scan(monkeypatch):
     # the full scan over every pair of every slice, kept here as the oracle
     # for the orbit-weighted count; D runs at the shipped block size and in
-    # blocks of 1, 2 and 3 lines.  625, 729 and 1331 have subfields, so some of
+    # blocks of 1, 2 and 3 lines, with the pairs that have a 0 sign counted two
+    # blocks at a time.  625, 729 and 1331 have subfields, so some of
     # their orbits are shorter than 2k; a line of 257, 509 and 1021 scans 65, 128
     # and 256 y, one bit past a word and whole words
     for q in [*odd_prime_powers(3, 400), 257, 509, 625, 729, 1021, 1331]:
@@ -199,6 +201,7 @@ def test_sigma_d_matches_full_scan(monkeypatch):
         words = -(-((q - 1) // 4 + 1) // 64)  # a line's y, padding included, 64 a word
         for rows in (1, 2, 3):
             monkeypatch.setattr(charside, "BLOCK_WORDS", rows * words)
+            monkeypatch.setattr(charside, "ZERO_LINES", 2 * rows)
             assert sigma_count_D(F) == full, (q, rows)
         monkeypatch.undo()
 
@@ -330,14 +333,13 @@ def test_class_masks_pinned_on_the_sign_cube(mod4, crc):
     assert (~m.any(axis=0)).sum() == (3812 if mod4 == 1 else 1650)
 
 
-def to_planes(signs: np.ndarray) -> Planes:
-    """(..., width) int8 signs as Planes of (..., nw) uint64 words, 64 signs a word,
-    least significant bit first; the signs past width are 0."""
+def to_signs(signs: np.ndarray) -> Signs:
+    """(..., width) int8 signs of +-1 as Signs of (..., nw) uint64 words, 64 signs a word,
+    least significant bit first; the signs past width are 1."""
     width = signs.shape[-1]
-    padded = np.zeros((*signs.shape[:-1], 64 * -(-width // 64)), dtype=np.int8)
+    padded = np.ones((*signs.shape[:-1], 64 * -(-width // 64)), dtype=np.int8)
     padded[..., :width] = signs
-    return Planes(*(np.packbits(padded == v, axis=-1, bitorder="little").view("<u8")
-                    for v in (1, -1)))
+    return Signs(np.packbits(padded == -1, axis=-1, bitorder="little").view("<u8"))
 
 
 def from_words(words: np.ndarray, width: int) -> np.ndarray:
@@ -346,43 +348,94 @@ def from_words(words: np.ndarray, width: int) -> np.ndarray:
     return bits[..., :width].astype(bool)
 
 
-def test_planes_sign_operations_match_int8():
-    # every pair of signs in {1, 0, -1}, zeros included
-    u, v = (np.array(a, dtype=np.int8) for a in np.meshgrid([1, 0, -1], [1, 0, -1]))
-    u, v = u.reshape(1, 9), v.reshape(1, 9)
-    pu, pv = to_planes(u), to_planes(v)
-    assert pu.shape == (1, 1)
-    for planes, signs in ((-pu, -u), (pu * pv, u * v)):
-        for c in (1, -1, 0):
-            assert np.array_equal(from_words(planes == c, 9), signs == c)
-    for c in (1, -1, 0):
-        assert np.array_equal(from_words(pu != c, 9), u != c)
-    assert np.array_equal(from_words(pu == pv, 9), u == v)
-    assert np.array_equal(from_words(pu != pv, 9), u != v)
+def test_signs_operations_match_int8():
+    # every pair of signs in {1, -1}; D's words never hold a 0, so == 0 is all-false
+    u, v = (np.array(a, dtype=np.int8).reshape(1, 4) for a in np.meshgrid([1, -1], [1, -1]))
+    su, sv = to_signs(u), to_signs(v)
+    assert su.shape == (1, 1)
+    for signs, ints in ((-su, -u), (su * sv, u * v)):
+        for c in (1, -1):
+            assert np.array_equal(from_words(signs == c, 4), ints == c)
+            assert np.array_equal(from_words(signs != c, 4), ints != c)
+    assert np.array_equal(from_words(su == sv, 4), u == v)
+    assert np.array_equal(from_words(su != sv, 4), u != v)
+    assert (su == 0).tolist() == [[0]] and (su != 0).tolist() == [[2**64 - 1]]
     with pytest.raises(ValueError):
-        pu == 2
+        su == 2
 
 
 @pytest.mark.parametrize("width", [129, 127])
 @pytest.mark.parametrize("mod4", [1, 3])
-def test_class_masks_on_planes_match_int8(mod4, width):
-    # the sign cube, each vector one column, then seeded signs with zeros, cut into
-    # lines of width y whose last word is partial (width % 64 is 1 or 63); the rules
-    # on planes, masked to the width as D masks them, give the int8 T bit for bit
+def test_class_masks_on_signs_match_int8(mod4, width):
+    # the sign cube, each vector one column, then seeded signs of +-1, cut into lines of
+    # width y whose last word is partial (width % 64 is 1 or 63); the rules on Signs,
+    # masked to the width as D masks them, give the int8 T bit for bit
     cube = np.stack([np.broadcast_to(v, (2,) * len(CHAR_NAMES)).ravel()
                      for v in sign_cube().values()])
     rows = 300
     rng = np.random.default_rng(5)
-    rest = rng.integers(-1, 2, size=(len(CHAR_NAMES), rows * width - cube.shape[1]))
+    rest = 2 * rng.integers(0, 2, size=(len(CHAR_NAMES), rows * width - cube.shape[1])) - 1
     signs = np.hstack([cube, rest]).astype(np.int8).reshape(len(CHAR_NAMES), rows, width)
     t = ~class_masks(mod4, dict(zip(CHAR_NAMES, signs))).any(axis=0)
-    planes = dict(zip(CHAR_NAMES, map(to_planes, signs)))
-    valid = to_planes(np.ones((1, width), dtype=np.int8)).pos
-    words = ~np.bitwise_or.reduce(class_masks(mod4, planes), axis=0) & valid
+    words = dict(zip(CHAR_NAMES, map(to_signs, signs)))
+    valid = to_signs(-np.ones((1, width), dtype=np.int8)).neg
+    words = ~np.bitwise_or.reduce(class_masks(mod4, words), axis=0) & valid
     bits = 64 * -(-width // 64)
     assert words.dtype == np.uint64 and words.shape == (rows, bits // 64)
     assert np.array_equal(from_words(words, bits), np.pad(t, ((0, 0), (0, bits - width))))
-    assert t[:cube.shape[1] // width].sum() > 0 and (signs == 0).sum() > 5000
+    assert t[:cube.shape[1] // width].sum() > 0 and t.sum() > 0
+
+
+@pytest.mark.parametrize("q", [*odd_prime_powers(3, 400), 10009])
+def test_zero_columns_match_table_eval(q):
+    # the (line, column) pairs D counts from int8 signs, read off the tile by offsets,
+    # against every SLICE_POLYS entry and 1 - y evaluated at every scanned pair (x, y) =
+    # (g^(2m) y, y), y = g^(2(start + k)); x = 1 is among them, as x - 1 vanishes there
+    F = field(q)
+    M, width = (q - 1) // 2, (q + 3) // 4
+    antilog = F.logs[1]
+    m = orbit_lines(F)[:, 0]
+    start = (M - m + 1) // 2
+    off = charside._line_signs(F, 2 * m) + (2 * start).astype(np.int32)
+    got = set(zip(*(a.tolist() for a in charside._zero_columns(F, off, width))))
+    want = set()
+    for s in range(0, len(m), 64):
+        line = np.arange(s, min(s + 64, len(m)))[:, None]
+        Y = antilog[2 * (start[line] + np.arange(width)) % (q - 1)]
+        X = F.vmul(antilog[2 * m[line]], Y)
+        zero = F.vsub(1, Y) == 0
+        for name in SLICE_POLYS:
+            zero |= table_eval(F, name, X, Y) == 0
+        rows, cols = np.nonzero(zero)
+        want |= set(zip((rows + s).tolist(), cols.tolist()))
+    assert got == want
+    assert {(i, M - m[i] - start[i]) for i in range(len(m))} <= got
+
+
+def test_zero_columns_take_every_column_of_a_vanishing_sign():
+    # a sign whose A and B both vanish reads the tile's run of zeros: 0 on the whole line
+    F = field(13)
+    N, width = F.q - 1, (F.q + 3) // 4
+    m = orbit_lines(F)[:, 0]
+    off = charside._line_signs(F, 2 * m) + (2 * ((N // 2 - m + 1) // 2)).astype(np.int32)
+    regular = set(zip(*(a.tolist() for a in charside._zero_columns(F, off, width))))
+    off[3, 1] = 4 * N + 2  # in the run of q + 1 zeros at 4N
+    got = set(zip(*(a.tolist() for a in charside._zero_columns(F, off, width))))
+    assert got == {p for p in regular if p[0] != 1} | {(1, k) for k in range(width)}
+
+
+def test_sigma_d_memory_is_a_few_blocks():
+    F = field(10009)
+    sigma_count_D(F)  # the lazy field tables, outside the traced window
+    tracemalloc.start()
+    try:
+        sigma_count_D(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # a block of signs and masks, the tile and the line offsets: about 1.5 MB; a larger
+    # block or a chunk-sized buffer would show here before it shows in the process's RSS
+    assert peak < 2e6
 
 
 def signed_permutation(subst) -> dict[str, tuple[str, int]]:
@@ -424,7 +477,7 @@ def test_t_on_the_sign_cube_is_invariant_under_swap_and_inversion(mod4):
 
 def test_sigma_d_jobs_matches_serial():
     # one prime of each residue mod 4 and extension fields of both; with 8 lines
-    # or more D runs the fork pool, whose workers inherit the packed bit planes
+    # or more D runs the fork pool, whose workers inherit the packed sign plane
     for q in (61, 67, 125, 243, 2401, 10007):
         F = field(q)
         assert len(orbit_lines(F)) >= 8
