@@ -1,4 +1,4 @@
-"""The chunked fork-pool map shared by the counters and the verifiers."""
+"""The chunked fork-pool map shared by the counters."""
 
 from __future__ import annotations
 

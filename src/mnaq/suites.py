@@ -124,18 +124,23 @@ def suite_bijection(qmax: int, jobs: int = 1) -> SuiteReport:
     return rep
 
 
-def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
-    rep = SuiteReport("symmetry", qmax)
-    for q in odd_prime_powers(7, qmax):
-        F = _field(q)
-        sigma = enumerate_sigma(F)
-        zeta = least_nonsquare(F)
-        grids = {pair: class_code_grid(F, pair) for pair in sigma}
-        zmap = np.asarray(F.vmul(zeta, F.codes))
-        ok_scaling = ok_opposite = ok_sigma_level = True
-        for pair in sigma:
+def _transport_checks(F: Field) -> tuple[bool, bool, bool]:
+    """The class-grid transport rows, over one orbit at a time of the pair maps
+    they read (swap, complement, opposite_pair): one orbit's grids are held."""
+    zmap = np.asarray(F.vmul(least_nonsquare(F), F.codes))
+    ok_scaling = ok_opposite = ok_sigma_level = True
+    done: set[SigmaPair] = set()
+    for start in enumerate_sigma(F):
+        if start in done:
+            continue
+        orbit = [start]
+        for a, b in orbit:  # grows until it is closed under the maps
+            orbit += {SigmaPair(b, a), SigmaPair(F.sub(1, a), F.sub(1, b)),
+                      opposite_pair(F, SigmaPair(a, b))}.difference(orbit)
+        grids = {pair: class_code_grid(F, pair) for pair in orbit}
+        done.update(orbit)
+        for pair, g in grids.items():
             a, b = pair
-            g = grids[pair]
             swapped = grids[SigmaPair(b, a)]
             ok_scaling &= (swapped[np.ix_(zmap, zmap)] == COMPLEMENT[g]).all()
             g_comp = grids[SigmaPair(F.sub(1, a), F.sub(1, b))]
@@ -146,12 +151,19 @@ def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
             ok_sigma_level &= (np.array_equal(np.unique(g_comp), np.unique(SWAP[present]))
                                and np.array_equal(np.unique(swapped),
                                                   np.unique(COMPLEMENT[present])))
-        rep.add("transport_scaling", q, ok_scaling)
-        rep.add("transport_opposite", q, ok_opposite)
-        rep.add("class_presence_symmetry", q, ok_sigma_level)
+    return ok_scaling, ok_opposite, ok_sigma_level
+
+
+def suite_symmetry(qmax: int, jobs: int = 1) -> SuiteReport:
+    rep = SuiteReport("symmetry", qmax)
+    for q in odd_prime_powers(7, qmax):
+        F = _field(q)
+        for name, ok in zip(("transport_scaling", "transport_opposite",
+                             "class_presence_symmetry"), _transport_checks(F)):
+            rep.add(name, q, ok)
         ok_structure = all(
             (r := opposite_and_iso_checks(F, pair)).iso_ok and r.opposite_ok
-            for pair in sigma
+            for pair in enumerate_sigma(F)
         )
         rep.add("iso_and_opposite", q, ok_structure)
     if qmax >= 13:
@@ -275,7 +287,7 @@ def suite_slice_lists(qmax: int, jobs: int = 1) -> SuiteReport:
     rep = SuiteReport("thm31", qmax)
     for q in odd_prime_powers(3, qmax):
         F = _field(q)
-        r = verify_slice_lists(F, jobs=jobs)
+        r = verify_slice_lists(F)
         rep.add("squarefree_and_rset", q, r.ok,
                 f"admissible={r.admissible_count} violations={len(r.violations)}")
         nonzero_inadmissible = r.inadmissible_count - 1  # c = 0 always fails

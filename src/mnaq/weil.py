@@ -16,34 +16,32 @@ count N must satisfy |N - q/2^k| < (sqrt(q)+1) D / 2 with D the total degree.
 
 SLICE_POLYS is the one table of the classification polynomials (f1..f4, g1..g4
 and seven linear forms in x and y), read by charside's class rules too; at
-y = c it is the fixed 15-polynomial list used by all slice estimates.  The ten
-admissibility conditions on c guarantee that this list is square-free;
-verify_slice_lists confirms it exhaustively for a field, along with the size of
-the root set R(c) and the root-separation facts the argument leans on.
-
-It does so in numpy over blocks of c.  Every member has degree at most 2 in x
-and keeps it at an admissible c, so its factors are closed-form: -a0/a1 for a
-linear member; for a quadratic, its roots from the discriminant's chi and sqrt
-tables, or, when it is irreducible, its monic form.  These factor keys decide
-the root-separation facts, and one bit per key makes each member's parity mask
-(the two bits of a double root cancel).  The GF(2) elimination that
-is_squarefree_list runs on one list tests these masks for all c of a block.
+y = c it is the fixed 15-polynomial list of the slice estimates.  Theorem 3.1
+holds for every odd q: slice_list_certificate finds the list's x-leads,
+quadratic discriminants and pairwise resultants in x to be, over Z[c], +-2^e
+times products of the ten admissibility conditions' polynomials.  For odd p, 2
+is a unit mod p, and reduction mod p commutes with the determinants because the
+x-leads are among them.  At p = 3, four third-ratio factors (c + 3, 2c - 3,
+c - 3, 4c - 3) reduce to multiples of c, the other four to nonzero constants,
+and c = 0 is excluded.  So at an admissible c no member loses degree and no
+root is double or shared: the list is square-free, and R(c), the roots of the
+linear members other than x and x - 1, has 7 elements.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
-from .errors import VerificationFailure, ZeroPolynomial
+from .errors import ZeroPolynomial
 from .field import Field
 # factorize: no function here calls it; perfbench's traced pass wraps weil.factorize
 from .gfpoly import (Poly, degree, factorize, normalize, poly_div, poly_eval_vec, poly_gcd,
                      squarefree_decomposition)
-from .pool import chunked_map
 from .rng import SplitMix64
 
 
@@ -67,25 +65,21 @@ class SquarefreeResult:
     witness: tuple[int, ...] | None  # 0-based positions whose product is a square
 
 
-def _first_dependency(bits: np.ndarray) -> np.ndarray:
-    """For each row of (n, m) parity masks, the mask of list members that first
-    multiply to a square: the dependency of the shortest dependent prefix, which
-    is unique; 0 where the row is independent.  A pivot carries its parity bits
-    above bit m and its member bits below (int64 rows need m plus the parity
-    width under 63 bits; object rows have no limit).  The basis stays reduced (a
-    pivot's key bit is set in no other pivot), so a member is reduced in one
-    step by the pivots whose key bits it has."""
-    n, m = bits.shape
-    piv, key, seen = (np.zeros_like(bits) for _ in range(3))
-    for j in range(m):
-        v = bits[:, j] << m | 1 << j
-        v ^= np.bitwise_xor.reduce(piv * ((v[:, None] & key) != 0), axis=1)
-        top = v >> m
-        low = (top & -top) << m
-        piv ^= v[:, None] * ((piv & low[:, None]) != 0)
-        piv[:, j], key[:, j], seen[:, j] = v, low, v
-    dep = seen >> m == 0
-    return np.where(dep.any(axis=1), seen[np.arange(n), dep.argmax(axis=1)], 0)
+def _first_dependency(bits: list[int]) -> int:
+    """The mask of the members whose parity masks first sum to 0 (the shortest
+    dependent prefix's dependency, which is unique), or 0.  A pivot has parity
+    bits above bit m and member bits below; the basis stays reduced (a pivot's
+    key bit is in no other pivot), so one pass over the pivots reduces a member."""
+    m, piv = len(bits), []
+    for j, b in enumerate(bits):
+        v = b << m | 1 << j
+        for p, key in piv:
+            v ^= p if v & key else 0
+        if not v >> m:
+            return v
+        low = (v >> m & -(v >> m)) << m
+        piv = [(p ^ v if p & low else p, key) for p, key in piv] + [(v, low)]
+    return 0
 
 
 def _coprime_base(F: Field, parts: list[tuple[Poly, int]]) -> list[tuple[Poly, int]]:
@@ -120,7 +114,7 @@ def is_squarefree_list(F: Field, polys: list[Poly]) -> SquarefreeResult:
     base = _coprime_base(F, parts)
     bits = [sum(1 << i for i, (_, mask) in enumerate(base) if mask >> idx & 1)
             for idx in range(len(polys))]
-    w = int(_first_dependency(np.array([bits], dtype=object))[0]) if bits else 0
+    w = _first_dependency(bits)
     return SquarefreeResult(not w, tuple(i for i in range(len(polys)) if w >> i & 1) or None)
 
 
@@ -139,17 +133,11 @@ def count_sign_pattern(F: Field, specs: list[PolySpec]) -> WeilCount:
     bound is proven for square-free lists, which is_squarefree_list decides."""
     if not specs:
         raise ValueError("need at least one PolySpec")
-    ok = None
-    for spec in specs:
-        vals = poly_eval_vec(F, spec.poly, F.codes)
-        hit = F.chi_table[vals] == spec.sign
-        ok = hit if ok is None else (ok & hit)
-    n = int(ok.sum())
+    n = int(np.logical_and.reduce([F.chi_table[poly_eval_vec(F, s.poly, F.codes)] == s.sign
+                                   for s in specs]).sum())
     k = len(specs)
-    total = sum(degree(s.poly) for s in specs)
-    bound = (math.sqrt(F.q) + 1) * total / 2
-    within = abs(n - F.q / 2**k) < bound
-    return WeilCount(n, k, bound, within)
+    bound = (math.sqrt(F.q) + 1) * sum(degree(s.poly) for s in specs) / 2
+    return WeilCount(n, k, bound, abs(n - F.q / 2**k) < bound)
 
 
 # ----------------------------------------------------------------------
@@ -188,9 +176,12 @@ def table_eval(F: Field, name: str, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 
 
 # each label names its condition by the first polynomial (or value set) it
-# excludes; the second entry of a pair is always the reciprocal partner
+# excludes; the second entry of a pair is always the reciprocal partner.  The
+# excluded values and the third ratios u/v are their factors v*c - u, and the
+# third ratios are no condition when p = 3
 _COND_POLYS: dict[str, tuple[tuple[int, ...], ...]] = {
     # constant-first integer coefficient tuples
+    "excluded-values": ((1, 1), (0, 1), (-1, 1), (-1, 2), (-2, 1)),
     "x2+-x+-1": ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1)),
     "x2-3x+1": ((1, -3, 1),),
     "x2-3x+3": ((3, -3, 1), (1, -3, 3)),
@@ -199,24 +190,78 @@ _COND_POLYS: dict[str, tuple[tuple[int, ...], ...]] = {
     "x2-2x+2": ((2, -2, 1), (1, -2, 2)),
     "x3-x2+2x-1": ((-1, 2, -1, 1), (-1, 1, -2, 1)),
     "x3-2x2+3x-1": ((-1, 3, -2, 1), (-1, 2, -3, 1)),
+    "third-ratios": ((1, 3), (3, 1), (-2, 3), (-3, 2), (-1, 3), (-3, 1), (-4, 3), (-3, 4)),
 }
-# the excluded values and, when p != 3, the third ratios, as integer fractions
-_EXCLUDED = ((-1, 1), (0, 1), (1, 1), (1, 2), (2, 1))
-_THIRD_RATIOS = ((-1, 3), (-3, 1), (2, 3), (3, 2), (1, 3), (3, 1), (4, 3), (3, 4))
+CONDITION_LABELS = tuple(_COND_POLYS)
 
-CONDITION_LABELS = ("excluded-values", *_COND_POLYS, "third-ratios")
+
+# Z[c]: constant-first sequences of ints; () and [] are zero
+def _zsum(terms) -> list[int]:
+    """The sum of k * c^i * p over the (k, i, p) of terms, without trailing zeros."""
+    out = [0] * max((i + len(p) for _, i, p in terms), default=0)
+    for k, i, p in terms:
+        for j, v in enumerate(p):
+            out[i + j] += k * v
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _zdet(m: list[list]) -> list[int]:
+    """Determinant by expansion along the first row."""
+    if len(m) == 1:
+        return _zsum([(1, 0, m[0][0])])
+    minors = [_zdet([r[:j] + r[j + 1:] for r in m[1:]]) for j in range(len(m))]
+    return _zsum([((-1) ** j * u, i, minor) for j, minor in enumerate(minors)
+                  for i, u in enumerate(m[0][j])])
+
+
+def _zquotient(a: list[int], d: list[int]) -> list[int] | None:
+    """a / d when d divides a in Z[c] (exact for a primitive d, by Gauss's lemma), else None."""
+    quot = [0] * (len(a) - len(d) + 1)
+    while len(a) >= len(d) and not a[-1] % d[-1]:
+        i = len(a) - len(d)
+        quot[i] = a[-1] // d[-1]
+        a = _zsum([(1, 0, a), (-quot[i], i, d)])
+    return None if a else quot
+
+
+def _slice_list_polys() -> dict[str, list[int]]:
+    """The fixed list's x-leads, quadratic discriminants (b^2 - 4ac as a 2 x 2
+    determinant) and pairwise resultants in x (Sylvester's), in Z[c], c = y."""
+    out = {f"lead {name}": _zdet([[rows[-1]]]) for name, rows in SLICE_POLYS.items()}
+    out |= {f"disc {name}": _zdet([[r[1], [4 * v for v in r[0]]], [r[2], r[1]]])
+            for name, r in SLICE_POLYS.items() if len(r) == 3}
+    for (m, f), (n, g) in combinations(SLICE_POLYS.items(), 2):
+        out[f"res {m},{n}"] = _zdet([[()] * i + [*a[::-1]] + [()] * (len(b) - 2 - i)
+                                     for a, b in ((f, g), (g, f)) for i in range(len(b) - 1)])
+    return out
+
+
+@functools.cache
+def slice_list_certificate() -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """Theorem 3.1 for every odd q at once: the (name, leftover) pairs of the
+    126 polynomials of _slice_list_polys whose leftover, once each of the 29
+    factors of the ten conditions (_COND_POLYS) is divided out as often as it
+    divides, is not +-2^e.  Mod an odd p, 2 is a unit, and the x-leads keep the
+    determinants' reductions exact; at p = 3, the third ratios' factors are
+    nonzero constants or multiples of c, and c = 0 is an excluded value."""
+    factors = [p for polys in _COND_POLYS.values() for p in polys]
+    out = []
+    for name, rest in _slice_list_polys().items():
+        for d in factors:
+            while rest and (quot := _zquotient(rest, d)) is not None:
+                rest = quot
+        if len(rest) != 1 or abs(rest[0]) & (abs(rest[0]) - 1):
+            out.append((name, tuple(rest)))
+    return tuple(out)
 
 
 def _failed_conditions(F: Field, cs: np.ndarray) -> np.ndarray:
     """(len(cs), 10) booleans: entry [i, j] says cs[i] fails CONDITION_LABELS[j]."""
-    def values(fracs):
-        return [F.div(F.embed(u), F.embed(v)) for u, v in fracs]
-
-    return np.stack(
-        [np.isin(cs, values(_EXCLUDED))]
-        + [np.logical_or.reduce([poly_eval_vec(F, tuple(map(F.embed, p)), cs) == 0
-                                 for p in polys]) for polys in _COND_POLYS.values()]
-        + [np.isin(cs, values(_THIRD_RATIOS) if F.p != 3 else [])], axis=-1)
+    return np.stack([np.logical_or.reduce([poly_eval_vec(F, tuple(map(F.embed, p)), cs) == 0
+                                           for p in polys]) & (label != "third-ratios" or F.p != 3)
+                     for label, polys in _COND_POLYS.items()], axis=-1)
 
 
 def slice_param_admissible(F: Field, c: int) -> tuple[bool, list[str]]:
@@ -241,103 +286,26 @@ def slice_poly_list(F: Field, c: int) -> list[Poly]:
             for name in SLICE_POLYS]
 
 
-_QUADRATIC = {name: i for i, (name, rows) in enumerate(SLICE_POLYS.items()) if len(rows) == 3}
-# R(c): the roots of the linear members other than x and x - 1
-_R_ROWS = [i for i, rows in enumerate(SLICE_POLYS.values()) if len(rows) == 2][2:]
-
-
-def _slice_factors(F: Field, cs: np.ndarray) -> tuple[dict, np.ndarray]:
-    """The fixed list at each c of cs: its coefficients by name, and (len(cs), 15, 2)
-    factor keys.  A linear member has its root and -1; a quadratic has its two roots
-    (equal at a double root) if it splits, else q + q*a0/(2*a2) + a1/(2*a2), which
-    names its monic form, and -1."""
-    coef = {name: table_coeffs(F, name, cs) for name in SLICE_POLYS}
-    keys = np.full((len(cs), len(coef), 2), -1)
-    two, four = F.embed(2), F.embed(4)
-    for i, (name, (a0, a1, *a2)) in enumerate(coef.items()):
-        lead = (a2 or [a1])[0]
-        if not lead.all():  # else vinv(0) = 0 would give a root
-            raise VerificationFailure(f"{name} loses degree at c={cs[lead == 0][0]}")
-        if not a2:
-            keys[:, i, 0] = F.vmul(F.vneg(a0), F.vinv(a1))
-            continue
-        disc = F.vsub(F.vmul(a1, a1), F.vmul(four, F.vmul(a0, lead)))
-        split, s, inv = F.chi_table[disc] >= 0, F.sqrt_table[disc], F.vinv(F.vmul(two, lead))
-        irreducible = F.q * (1 + F.vmul(a0, inv)) + F.vmul(a1, inv)
-        keys[:, i, 0] = np.where(split, F.vmul(F.vsub(s, a1), inv), irreducible)
-        keys[:, i, 1] = np.where(split, F.vmul(F.vsub(F.vneg(s), a1), inv), -1)
-    return coef, keys
-
-
-def r_set(F: Field, c: int) -> list[int]:
-    """Roots of the seven degree-one members of the fixed list (with duplicates)."""
-    return _slice_factors(F, np.array([c]))[1][0, _R_ROWS, 0].tolist()
-
-
-def _slice_list_violations(F: Field, cs: np.ndarray) -> list[str]:
-    """Square-freeness of the fixed list, |R(c)| = 7, double roots, quadratics
-    vanishing on R(c) and roots shared by f_i, f_j at each c of cs (all at once).
-    A member's parity mask XORs one bit per factor key, so a double root cancels."""
-    coef, keys = _slice_factors(F, cs)
-    flat = keys.reshape(len(cs), 2 * len(coef))
-    col = np.argmax(flat[:, :, None] == flat[:, None, :], axis=2).reshape(keys.shape)
-    witness = _first_dependency(
-        np.bitwise_xor.reduce(np.where(keys >= 0, 1 << col, 0), axis=2))
-    roots = keys[:, _R_ROWS, 0]
-    quad = {name: keys[:, i] for name, i in _QUADRATIC.items()}
-    checks = [("list not square-free at c={c}: {w}", witness != 0),
-              ("|R(c)| != 7 at c={c}", (np.diff(np.sort(roots), axis=1) == 0).any(axis=1))]
-    checks += [(f"double root in {name} at c={{c}}", k[:, 0] == k[:, 1])
-               for name, k in quad.items()]
-    checks += [(f"{name} vanishes on R(c) at c={{c}}",
-                (poly_eval_vec(F, [a[:, None] for a in coef[name]], roots) == 0).any(axis=1))
-               for name in _QUADRATIC]
-    for i, j in combinations(range(1, 5), 2):
-        ki, kj = quad[f"f{i}"][:, :, None], quad[f"f{j}"][:, None, :]
-        checks.append((f"f{i}/f{j} share a root at c={{c}}",
-                       ((ki == kj) & (ki >= 0)).any(axis=(1, 2))))
-    out = []
-    for i in np.flatnonzero(np.logical_or.reduce([hit for _, hit in checks])):
-        w = tuple(j for j in range(len(SLICE_POLYS)) if witness[i] >> j & 1)
-        out += [text.format(c=cs[i], w=w) for text, hit in checks if hit[i]]
-    return out
-
-
-SLICE_BLOCK = 256  # parameters c per numpy pass of verify_slice_lists
-
-
 @dataclass
 class SliceListReport:
-    admissible_count: int = 0
-    inadmissible_count: int = 0
-    inadmissible_slice_param_count: int = 0  # inadmissible c that slice_param_ok accepts
-    violations: list[str] = dc_field(default_factory=list)
+    admissible_count: int
+    inadmissible_count: int
+    inadmissible_slice_param_count: int  # inadmissible c that slice_param_ok accepts
+    violations: list[str]
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def _slice_list_chunk(F: Field, cs: range) -> SliceListReport:
-    rep = SliceListReport()
-    for lo in range(0, len(cs), SLICE_BLOCK):
-        block = np.asarray(cs[lo:lo + SLICE_BLOCK], dtype=np.int64)
-        adm = ~_failed_conditions(F, block).any(axis=1)
-        rep.admissible_count += int(adm.sum())
-        rep.inadmissible_count += int((~adm).sum())
-        rep.inadmissible_slice_param_count += int(slice_param_ok(F, block[~adm]).sum())
-        rep.violations += _slice_list_violations(F, block[adm])
-    return rep
-
-
-def verify_slice_lists(F: Field, jobs: int = 1) -> SliceListReport:
-    """Square-freeness of the fixed list, |R(c)| = 7 and the root-separation
-    consequences at every admissible c, in blocks of SLICE_BLOCK parameters."""
-    rep = SliceListReport()
-    for part in chunked_map(_slice_list_chunk, (F,), range(F.q), jobs):
-        for f in fields(SliceListReport):
-            setattr(rep, f.name, getattr(rep, f.name) + getattr(part, f.name))
-    return rep
+def verify_slice_lists(F: Field) -> SliceListReport:
+    """The admissible c of F by the ten conditions; the list's facts at each of
+    them are slice_list_certificate's, whose failures are the violations."""
+    adm = ~_failed_conditions(F, F.codes).any(axis=1)
+    return SliceListReport(
+        int(adm.sum()), int((~adm).sum()), int(slice_param_ok(F, F.codes[~adm]).sum()),
+        [f"{name} is not +-2^e times admissibility factors: {rest} left over"
+         for name, rest in slice_list_certificate()])
 
 
 # ----------------------------------------------------------------------

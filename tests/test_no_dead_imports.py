@@ -27,7 +27,6 @@ UNREAD_ALLOWED = {
     ("search", "verify_certificate"): "re-checks a search certificate: the tests and the benchmark",
     ("search", "mna_sample_stats"): "the sampled MNA share: the acceptance tests and the benchmark",
     ("weil", "slice_poly_list"): "the slice list at one c, Horner's oracle: the tests",
-    ("weil", "r_set"): "the root set R(c) at one c: the tests",
 }
 
 

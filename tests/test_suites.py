@@ -1,10 +1,12 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from mnaq import suites
+from mnaq import quasigroup, suites
 from mnaq.charside import COMPLEMENT, HALVES, SWAP
+from mnaq.quasigroup import SigmaPair
 from mnaq.suites import SUITES, run_suite
 
 
@@ -72,3 +74,33 @@ def test_slice_sums_are_checked_at_every_counter_key(monkeypatch, q, key):
     monkeypatch.setattr(suites, "slice_counters", off_by_one)
     rep = run_suite("slices", q)
     assert {c.q: c.ok for c in rep.checks if c.name == "slice_sums_match_partition"}[q] is False
+
+
+def test_symmetry_transports_hold_one_orbit_of_grids_at_a_time():
+    # every Sigma pair's (q, q) grid at once peaked at 26 MB at q = 101
+    F = suites._field(101)
+    tracemalloc.start()
+    try:
+        ok = suites._transport_checks(F)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ok) and peak < 4e6
+
+
+def failed_rows(rep):
+    return {(c.name, c.q) for c in rep.checks if not c.ok}
+
+
+def test_symmetry_rows_catch_a_wrong_complement_or_opposite_pair(monkeypatch):
+    wrong = COMPLEMENT.copy()
+    wrong[[0, 15]] = wrong[[15, 0]]  # classes 0 and 15 left in place
+    monkeypatch.setattr(suites, "COMPLEMENT", wrong)
+    assert failed_rows(run_suite("symmetry", 19)) == {("transport_scaling", 13),
+                                                      ("transport_scaling", 17)}
+    monkeypatch.undo()
+    # the opposite pair of the other residue of q mod 4
+    monkeypatch.setattr(suites, "opposite_pair",
+                        lambda F, pair: quasigroup.opposite_pair(F, SigmaPair(pair.b, pair.a)))
+    assert failed_rows(run_suite("symmetry", 19)) == {("transport_opposite", q)
+                                                      for q in (7, 11, 13, 17, 19)}

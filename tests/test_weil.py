@@ -3,7 +3,6 @@ import operator
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict
 from itertools import combinations
 
 import numpy as np
@@ -11,9 +10,10 @@ import pytest
 
 from mnaq import gfpoly, weil
 from mnaq.cli import EXIT_VERIFY, main
-from mnaq.errors import VerificationFailure, ZeroPolynomial
+from mnaq.errors import ZeroPolynomial
 from mnaq.field import odd_prime_powers
-from mnaq.gfpoly import degree, factorize, poly_derivative, poly_eval, poly_gcd, poly_mul
+from mnaq.gfpoly import (degree, factorize, poly_derivative, poly_eval, poly_eval_vec,
+                         poly_gcd, poly_mul)
 from mnaq.rng import SplitMix64
 from mnaq.weil import (
     CONDITION_LABELS,
@@ -22,7 +22,6 @@ from mnaq.weil import (
     SquarefreeResult,
     count_sign_pattern,
     is_squarefree_list,
-    r_set,
     random_squarefree_specs,
     run_weil_trials,
     slice_param_admissible,
@@ -151,14 +150,6 @@ def test_slice_poly_list_is_table_at_y_equals_c(q):
             assert [poly_eval(F, p, x) for p in polys] == [g[x, c] for g in grids]
 
 
-def test_r_set_size_seven_at_admissible_c():
-    for q in (27, 49, 81):
-        F = field(q)
-        for c in range(q):
-            if slice_param_admissible(F, c)[0]:
-                assert len(set(r_set(F, c))) == 7
-
-
 @pytest.mark.parametrize("q", [11, 13, 27, 49])
 def test_verify_slice_lists_clean(q):
     rep = verify_slice_lists(field(q))
@@ -171,10 +162,9 @@ ADMISSIBLE_C = {27: 12, 49: 18, 243: 240, 1009: 970}
 
 @pytest.mark.parametrize("q", ADMISSIBLE_C)
 def test_verify_slice_lists_jobs_match_serial(q):
-    F = field(q)
-    serial = verify_slice_lists(F, jobs=1)
-    assert serial.admissible_count == ADMISSIBLE_C[q]
-    assert asdict(verify_slice_lists(F, jobs=2)) == asdict(serial)
+    # one serial pass over all c; the admissible counts stay pinned
+    rep = verify_slice_lists(field(q))
+    assert rep.admissible_count == ADMISSIBLE_C[q] and rep.ok
 
 
 def test_inadmissible_good_slice_bound_mod3():
@@ -221,7 +211,7 @@ def test_inadmissible_single_condition_status_recorded():
 
 
 # ----------------------------------------------------------------------
-# The per-c polynomial route, kept here as the oracle of the block pass
+# The per-c polynomial route, kept here as the oracle of the certificate
 # ----------------------------------------------------------------------
 
 QUADRATIC = ("g1", "g3", "f1", "f2", "f3", "f4")
@@ -260,7 +250,7 @@ def test_first_dependency_matches_prefix_elimination(m, width, ands):
     rnd = random.Random(m * width)
     rows = [[functools.reduce(operator.and_, (rnd.getrandbits(width) for _ in range(ands)))
              for _ in range(m)] for _ in range(300)]
-    got = weil._first_dependency(np.array(rows, dtype=np.int64 if width < 40 else object))
+    got = [weil._first_dependency(row) for row in rows]
     want = [oracle_dependency(row) for row in rows]
     assert [tuple(i for i in range(m) if w >> i & 1) or None for w in got] == want
     assert None in want and any(want)
@@ -366,39 +356,122 @@ VIOLATION_KINDS = ("not square-free", "|R(c)| != 7", "double root", "vanishes on
 ORACLE_FIELDS = (11, 13, 17, 19, 23, 25, 27, 29, 31, 37, 41, 43, 49, 81, 125, 243)
 
 
+def certificate_zeros(F):
+    """Booleans over the codes of F: c is a zero of one of the certificate's 126
+    polynomials."""
+    return np.logical_or.reduce([poly_eval_vec(F, tuple(map(F.embed, p)), F.codes) == 0
+                                 for p in weil._slice_list_polys().values()])
+
+
 def test_slice_list_checks_match_the_polynomial_route_past_admissibility():
     # every c where the 15 members keep full degree, admissible or not, so
-    # that every kind of violation occurs
+    # that every kind of violation occurs: each c with a violation is a zero
+    # of a certificate polynomial, and no admissible c has one
     kinds, n_params = Counter(), 0
     for q in ORACLE_FIELDS:
         F = field(q)
+        zeros = certificate_zeros(F)
+        admissible = ~weil._failed_conditions(F, F.codes).any(axis=1)
         cs = [c for c in range(q) if [degree(p) for p in slice_poly_list(F, c)] == FULL_DEGREES]
-        want = [v for c in cs for v in oracle_violations(F, c)]
-        assert weil._slice_list_violations(F, np.array(cs)) == want, q
-        kinds.update(next(k for k in VIOLATION_KINDS if k in v) for v in want)
+        for c in cs:
+            found = oracle_violations(F, c)
+            assert zeros[c] or not found, (q, c, found)
+            assert not (admissible[c] and found), (q, c, found)
+            kinds.update(next(k for k in VIOLATION_KINDS if k in v) for v in found)
         n_params += len(cs)
     assert n_params == 769
     assert kinds == dict(zip(VIOLATION_KINDS, (189, 87, 109, 368, 143)))
 
 
-def test_r_set_is_the_linear_roots():
-    F = field(29)
-    for c in range(29):
-        polys = dict(zip(SLICE_POLYS, slice_poly_list(F, c)))
-        if [degree(p) for p in polys.values()] == FULL_DEGREES:
-            assert r_set(F, c) == [F.div(F.neg(polys[n][0]), polys[n][1]) for n in R_NAMES]
+def test_slice_list_certificate_holds():
+    assert len(weil._slice_list_polys()) == 126
+    assert weil.slice_list_certificate() == ()
+    assert verify_slice_lists(field(13)).violations == []
 
 
-def test_lost_degree_at_an_admitted_c_raises(monkeypatch, capsys):
-    # at c = 1, x - xy - y has no x term and f4 no x^2 term; let c = 1 through
-    monkeypatch.setattr(weil, "_failed_conditions",
-                        lambda F, cs: np.zeros((len(cs), len(CONDITION_LABELS)), dtype=bool))
-    with pytest.raises(VerificationFailure, match="c=1"):
-        verify_slice_lists(field(13))
-    with pytest.raises(VerificationFailure):
-        r_set(field(13), 1)
+def closed_form(name, c):
+    """The certificate polynomial called name at the integer c, by the closed forms
+    of members of degree <= 2 in x, up to sign."""
+    def coeffs(member):
+        return [sum(v * c**i for i, v in enumerate(row)) for row in SLICE_POLYS[member]]
+
+    kind, names = name.split(" ")
+    f, *g = map(coeffs, names.split(","))
+    if kind == "lead":
+        return f[-1]
+    if kind == "disc":
+        return f[1] ** 2 - 4 * f[0] * f[2]
+    g = g[0]
+    if len(f) > len(g):
+        f, g = g, f
+    if len(f) == 2:  # a1^deg(g) g(-a0/a1)
+        return sum(v * (-f[0]) ** k * f[1] ** (len(g) - 1 - k) for k, v in enumerate(g))
+    return ((f[2] * g[0] - f[0] * g[2]) ** 2
+            - (f[2] * g[1] - f[1] * g[2]) * (f[1] * g[0] - f[0] * g[1]))
+
+
+def test_certificate_polynomials_match_their_closed_forms():
+    for name, poly in weil._slice_list_polys().items():
+        for c in range(-6, 7):
+            value = sum(v * c**i for i, v in enumerate(poly))
+            assert abs(value) == abs(closed_form(name, c)), (name, c)
+
+
+def test_a_lead_of_three_fails_the_certificate(patched):
+    # a member 3x - y loses its degree mod 3, so its lead 3 is not +-2^e
+    patched.setitem(SLICE_POLYS, "3x-y", ((0, -1), (3,)))
+    assert ("lead 3x-y", (3,)) in weil.slice_list_certificate()
+
+
+@pytest.mark.parametrize("q", list(odd_prime_powers(3, 400)))
+def test_certificate_zeros_are_the_rejected_c(q):
+    F = field(q)
+    assert (certificate_zeros(F) == weil._failed_conditions(F, F.codes).any(axis=1)).all()
+
+
+@pytest.fixture
+def patched(monkeypatch):
+    """monkeypatch, with the certificate's cache cleared around it."""
+    weil.slice_list_certificate.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    weil.slice_list_certificate.cache_clear()
+
+
+def tables_without_one_factor():
+    """(factor, the condition table without it) for each of the 29 factors of the
+    ten conditions."""
+    for label, polys in weil._COND_POLYS.items():
+        for p in polys:
+            yield p, {**weil._COND_POLYS, label: tuple(f for f in polys if f != p)}
+
+
+def test_every_condition_factor_is_needed(patched):
+    variants = list(tables_without_one_factor())
+    assert len(variants) == 29
+    for factor, table in variants:
+        patched.setattr(weil, "_COND_POLYS", table)
+        weil.slice_list_certificate.cache_clear()
+        failures = weil.slice_list_certificate()
+        patched.undo()
+        assert failures, factor
+        # each polynomial left unexplained still has the dropped factor
+        assert all(weil._zquotient(list(rest), list(factor)) is not None
+                   for _, rest in failures), (factor, failures)
+        if factor == (1, 0, 1):  # c^2 + 1
+            assert [name for name, _ in failures] == ["res x-1-y,f2", "res x+xy-y,f4",
+                                                      "res f2,f4"]
+
+
+def test_a_wrong_member_fails_the_certificate_and_verify(patched, capsys):
+    patched.setitem(SLICE_POLYS, "x+y", ((0, 1), (1,)))
+    failures = dict(weil.slice_list_certificate())
+    assert failures["res x-1-y,x+y"] == (1, 2)  # 2c + 1
+    assert all(name.endswith(",x+y") for name in failures)
+    rep = verify_slice_lists(field(13))
+    assert not rep.ok and "res x-1-y,x+y" in rep.violations[0]
     assert main(["verify", "--suite", "thm31", "--qmax", "13"]) == EXIT_VERIFY
-    assert "loses degree" in capsys.readouterr().err
+    assert "squarefree_and_rset" in capsys.readouterr().out
 
 
 def test_verify_slice_lists_memory_is_one_block():
@@ -410,7 +483,9 @@ def test_verify_slice_lists_memory_is_one_block():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2e6  # one pass over all 3001 c peaks at about 5 MB
+    # the admissibility pass over all 3001 c at once peaks at about 0.2 MB; the
+    # per-c root keys it replaced took about 5 MB in one pass
+    assert peak < 2e6
 
 
 def scalar_admissible(F, c):
@@ -419,8 +494,8 @@ def scalar_admissible(F, c):
     two = F.embed(2)
     if c in {F.embed(-1), 0, 1, F.inv(two), two}:
         failed.append("excluded-values")
-    for label, polys in weil._COND_POLYS.items():
-        if any(poly_eval(F, tuple(map(F.embed, p)), c) == 0 for p in polys):
+    for label in CONDITION_LABELS[1:-1]:
+        if any(poly_eval(F, tuple(map(F.embed, p)), c) == 0 for p in weil._COND_POLYS[label]):
             failed.append(label)
     if F.p != 3:
         three, four = F.embed(3), F.embed(4)
