@@ -41,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .assoc import ALL_CLASSES
 from .errors import BadSliceParam, IrregularPair, NotInS, TooLarge, VerificationFailure
-from .field import Field, read_only
+from .field import SUM_TERMS, Field, read_only
 from .pool import chunked_map
 from .quasigroup import CAYLEY_LIMIT, SPair, is_s_pair, square_codes
 from .weil import SLICE_POLYS, slice_param_admissible, slice_param_ok
@@ -57,9 +57,9 @@ CHAR_NAMES = (*list(SLICE_POLYS)[1:], "1-y")
 
 
 def _line_coeffs() -> np.ndarray:
-    """(3, 2, 15): [i, 0, n] and [i, 1, n] are the λ^i coefficients of B and A, where
-    P(λy, y) = y^d (A(λ) y + B(λ)) for P = CHAR_NAMES[n]: B and A group P's monomials
-    x^i y^j by total degree i + j, which must take at most two consecutive values."""
+    """(3, 2, 15): [i, 0, n] and [i, 1, n] are the λ^i coefficients of B and A, where P(λy, y)
+    = y^d (A(λ) y + B(λ)) for P = CHAR_NAMES[n]: B and A group P's monomials x^i y^j by total
+    degree i + j, two consecutive values at most, each a code_of_sum of at most SUM_TERMS ±λ^i."""
     out = np.zeros((3, 2, len(CHAR_NAMES)), dtype=np.int64)
     for n, poly in enumerate([*list(SLICE_POLYS.values())[1:], ((1, -1),)]):
         terms = [(i, i + j, a) for i, row in enumerate(poly) for j, a in enumerate(row) if a]
@@ -68,6 +68,8 @@ def _line_coeffs() -> np.ndarray:
             if d > low + 1:
                 raise VerificationFailure(f"{CHAR_NAMES[n]} spans more than two total degrees")
             out[i, d - low, n] += a
+    if (over := np.abs(out).sum(axis=0).max(axis=0) > SUM_TERMS).any():
+        raise VerificationFailure(f"{CHAR_NAMES[over.argmax()]} adds more than SUM_TERMS powers")
     return out
 
 
@@ -131,14 +133,14 @@ def _sign_tile(F: Field) -> np.ndarray:
 
 
 def _line_signs(F: Field, e: np.ndarray) -> np.ndarray:
-    """Offsets, int32 (15, e.size): the CHAR_NAMES signs at (g^e y, y), y a nonzero square,
-    are _sign_tile(F)[off + log y]: chi(B) C[log(A/B) + log y] for the A and B of
-    LINE_COEFFS (from the base-p digits of λ^i), or chi(B), chi(A) or 0 where A, B vanish."""
+    """Offsets, int32 (15, e.size): the CHAR_NAMES signs at (g^e y, y), e < q - 1 and y a
+    nonzero square, are _sign_tile(F)[off + log y]: chi(B) C[log(A/B) + log y] for LINE_COEFFS'
+    A and B (sums of the log_digits rows of λ^i), or chi(B), chi(A) or 0 where A, B vanish."""
     if e.size > LINE_ROWS:  # in pieces, so that the temporaries stay small
         return np.hstack([_line_signs(F, e[s:s + LINE_ROWS]) for s in range(0, e.size, LINE_ROWS)])
-    (log, antilog), N, places = F.logs, F.q - 1, F.p ** np.arange(F.k)
-    digits = antilog[np.multiply.outer(np.arange(3), e) % N, None] // places % F.p  # of λ^i
-    lB, lA = log[np.tensordot(LINE_COEFFS, digits, (0, 0)) % F.p @ places]
+    (rows, zero, _), N = F.log_digits, F.q - 1
+    sums = zero + np.tensordot(LINE_COEFFS, rows[np.multiply.outer(np.arange(3), e)], (0, 0))
+    lB, lA = F.logs[0][F.code_of_sum(sums)]
     zB, zA = lB < 0, lA < 0  # log 0 = -1
     # chi(g^l) = (-1)^l picks C or -C, and for a constant the run of 1 or -1 (or 0)
     const = 4 * N + (F.q + 1) * np.where(zA & zB, 0, 1 + (np.where(zB, lA, lB) & 1))
@@ -264,14 +266,12 @@ def orbit_lines(F: Field) -> np.ndarray:
 def _zero_columns(F: Field, off: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """(line, k), sorted by line, of each column k < width at which some sign
     _sign_tile(F)[off[:, line] + 2k] is 0.  C[e] = chi(1 + g^e) is 0 only at e = M mod N,
-    so an off below 4N reads a 0 at k = ((M - off) mod N) / 2 at most, and an off in the
-    run of zeros reads 0 at every column of its line."""
+    so an off below 4N reads a 0 at k = ((M - off) mod N) / 2 at most.  No line D scans
+    reads the run of zeros: A = B = 0 only for x - y at λ = 1."""
     N, M = F.q - 1, (F.q - 1) // 2
     k = (M - off) % N
     i = np.flatnonzero((k < 2 * width) & (k % 2 == 0) & (off < 4 * N))  # sign * lines + line
-    whole = np.flatnonzero(((off >= 4 * N) & (off <= 4 * N + F.q)).any(axis=0))
-    codes = np.sort(np.concatenate([i % off.shape[1] * width + k.ravel()[i] // 2,
-                                    (whole[:, None] * width + np.arange(width)).ravel()]))
+    codes = np.sort(i % off.shape[1] * width + k.ravel()[i] // 2)
     return np.divmod(codes[np.diff(codes, prepend=-1) > 0], width)  # np.unique hashes, slower
 
 

@@ -16,9 +16,10 @@ generator g by code, built with the field from one k x k matrix over F_p,
 nonsquares to -1 and 0 to 0; on an extension field it is the parity of the log.
 A prime field adds codes in [0, q) with one conditional subtraction of q, multiplies
 by %, marks chi at u*u for every nonzero u, and builds its log tables on first use.
-Method C's character sums add powers of g as Field.log_digits rows: on an extension
-field, k base-p digits packed in one int64 that add without a carry, read by one table
-lookup per group of digits.  gfpoly's kernels add Field.lifts, the same digits in Python ints.
+Method C's characters and method D's line coefficients add powers of g as Field.log_digits
+rows: on an extension field, k base-p digits packed in one int64 that add without a carry,
+read as codes by one lookup per group of digits.  gfpoly's kernels add Field.lifts, the same
+digits in Python ints.  No other module reads a code as base-p digits.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ def read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
 
 LOG_BLOCK = 1024  # digit rows per step of the antilog fill
 LOG_DIGIT_TILES = 3  # copies of the antilog in Field.log_digits: the largest degree
-SUM_TERMS = 4  # columns of log_digits a sum read by Field.chi_of_sum may add up
+SUM_TERMS = 4  # columns of log_digits a sum read by Field.code_of_sum may add up
 LIFT_ROWS = 64  # rows of products gfpoly adds to a sum of Field.lifts between read-backs
 
 
@@ -339,10 +340,10 @@ class Field:
         """(rows, zero, tables), built on first use.  rows[e] holds g^e for e below
         LOG_DIGIT_TILES*(q-1), so monomials need no log reduction: the code on a prime
         field, else its k base-p digits in one int64, packed_bits(p) bits each.
-        chi_of_sum reads zero plus a signed sum of at most SUM_TERMS rows; zero holds
+        code_of_sum reads zero plus a signed sum of at most SUM_TERMS rows; zero holds
         span in every digit, so a digit stays in [0, 2*span] and carries nothing.  The
-        sums serve method C only; base-p digit arrays summed by tensordot, as D's lines
-        read them, gave C the same results 4-13x slower."""
+        sums serve method C's characters and method D's line coefficients; unpacked
+        base-p digit arrays summed by tensordot gave C the same results 4-13x slower."""
         p, k, antilog = self.p, self.k, self.logs[1]
         span = SUM_TERMS * (p - 1)  # a digit of a sum lies in [-span, span]
         if k == 1:  # chi(t mod q) at t + span, for t = -span, ..., span
@@ -358,16 +359,20 @@ class Field:
                 tables.append(((d - span) % p @ p**i).astype(np.int32))
         return read_only(np.tile(rows, LOG_DIGIT_TILES))[0], zero, read_only(*tables)
 
-    def chi_of_sum(self, T: np.ndarray) -> np.ndarray:
-        """chi of the sums T that log_digits describes: one lookup on a prime field; else
-        table g maps the bits of the g-th group of digits (at most 2^16 entries) to the
-        code of their residues, and chi_table reads the sum of the groups' codes."""
-        tables = self.log_digits[2]
+    def code_of_sum(self, T: np.ndarray) -> np.ndarray:
+        """Codes of the log_digits sums T: (T - zero) % q on a prime field, else the sum of
+        the codes that table g gives the g-th group of digits (at most 2^16 entries)."""
+        _, zero, tables = self.log_digits
         if self.k == 1:
-            return tables[0].take(T)
+            return (T - zero) % self.q
         width = tables[0].size.bit_length() - 1  # bits of a full group
-        return self.chi_table.take(sum(t.take((T >> g * width) & (t.size - 1))
-                                       for g, t in enumerate(tables)))
+        return sum(t.take((T >> g * width) & (t.size - 1)) for g, t in enumerate(tables))
+
+    def chi_of_sum(self, T: np.ndarray) -> np.ndarray:
+        """chi of the sums T that log_digits describes; one lookup on a prime field."""
+        if self.k == 1:
+            return self.log_digits[2][0].take(T)
+        return self.chi_table.take(self.code_of_sum(T))
 
     # -- misc -------------------------------------------------------------
 

@@ -315,6 +315,30 @@ def test_line_polys_reject_three_degrees(monkeypatch):
         charside._line_coeffs()
 
 
+def test_line_polys_reject_sums_past_sum_terms(monkeypatch):
+    # 3y in g1 makes B = 3 - 2λ, five powers of λ: past what code_of_sum reads carry-free
+    assert np.abs(charside.LINE_COEFFS).sum(axis=0).max() == 3
+    monkeypatch.setitem(SLICE_POLYS, "g1", ((0, 3), (-2,), (1,)))
+    with pytest.raises(VerificationFailure, match="g1"):
+        charside._line_coeffs()
+
+
+def test_no_scanned_line_reads_the_run_of_zeros():
+    # A = B = 0 would put a whole line in the tile's run of zeros: every entry but x - y
+    # has a unit monomial ±λ^i as A or B, and x - y has A = 0, B = λ - 1, with λ != 1 on
+    # every line D scans (m >= 1)
+    for name, (B, A) in zip(CHAR_NAMES, charside.LINE_COEFFS.transpose(2, 1, 0)):
+        if name == "x-y":
+            assert (B.tolist(), A.tolist()) == ([-1, 1, 0], [0, 0, 0])
+        else:
+            assert 1 in (np.abs(B).sum(), np.abs(A).sum()), name
+    for q in (13, 27, 125, 2187, 10009):
+        F, N = field(q), q - 1
+        m = orbit_lines(F)[:, 0]
+        off = charside._line_signs(F, 2 * m)
+        assert m.min() >= 1 and not ((off >= 4 * N) & (off <= 4 * N + q)).any()
+
+
 def sign_cube() -> dict[str, np.ndarray]:
     """The CHAR_NAMES signs as free +-1 values, each along its own axis, as
     reports.limit_constant lays them out."""
@@ -410,18 +434,6 @@ def test_zero_columns_match_table_eval(q):
         want |= set(zip((rows + s).tolist(), cols.tolist()))
     assert got == want
     assert {(i, M - m[i] - start[i]) for i in range(len(m))} <= got
-
-
-def test_zero_columns_take_every_column_of_a_vanishing_sign():
-    # a sign whose A and B both vanish reads the tile's run of zeros: 0 on the whole line
-    F = field(13)
-    N, width = F.q - 1, (F.q + 3) // 4
-    m = orbit_lines(F)[:, 0]
-    off = charside._line_signs(F, 2 * m) + (2 * ((N // 2 - m + 1) // 2)).astype(np.int32)
-    regular = set(zip(*(a.tolist() for a in charside._zero_columns(F, off, width))))
-    off[3, 1] = 4 * N + 2  # in the run of q + 1 zeros at 4N
-    got = set(zip(*(a.tolist() for a in charside._zero_columns(F, off, width))))
-    assert got == {p for p in regular if p[0] != 1} | {(1, k) for k in range(width)}
 
 
 def test_sigma_d_memory_is_a_few_blocks():

@@ -479,7 +479,7 @@ def folded(F, signs, cols):
     return acc
 
 
-@pytest.mark.parametrize("q", [9, 25, 27, 125, 343, 2187])
+@pytest.mark.parametrize("q", [9, 13, 25, 27, 125, 343, 1009, 2187])
 def test_chi_of_sum_matches_folded_sums(q):
     F = field(q)
     rows, zero, _ = F.log_digits
@@ -487,15 +487,17 @@ def test_chi_of_sum_matches_folded_sums(q):
     for n in range(1, SUM_TERMS + 1):
         signs = rng.choice([-1, 1], n)
         cols = rng.integers(0, LOG_DIGIT_TILES * (q - 1), (n, 2000))
-        T = zero + sum(s * rows[e] for s, e in zip(signs, cols))
-        assert np.array_equal(F.chi_of_sum(T), F.chi_table[folded(F, signs, cols)])
+        T, want = zero + sum(s * rows[e] for s, e in zip(signs, cols)), folded(F, signs, cols)
+        assert np.array_equal(F.code_of_sum(T), want)
+        assert np.array_equal(F.chi_of_sum(T), F.chi_table[want])
     # the extreme digits: SUM_TERMS - 1 copies of the element whose digits are all
     # p - 1, and each power of g, added (up to 2 * span in every digit) or
     # subtracted (down to 0 in every digit) in any mix
     cols = np.vstack([np.full((SUM_TERMS - 1, q - 1), F.logs[0][q - 1]), np.arange(q - 1)])
     for signs in np.array(np.meshgrid(*[[-1, 1]] * SUM_TERMS)).reshape(SUM_TERMS, -1).T:
-        T = zero + sum(s * rows[e] for s, e in zip(signs, cols))
-        assert np.array_equal(F.chi_of_sum(T), F.chi_table[folded(F, signs, cols)])
+        T, want = zero + sum(s * rows[e] for s, e in zip(signs, cols)), folded(F, signs, cols)
+        assert np.array_equal(F.code_of_sum(T), want)
+        assert np.array_equal(F.chi_of_sum(T), F.chi_table[want])
 
 
 @pytest.mark.parametrize("q", [27, 125])
